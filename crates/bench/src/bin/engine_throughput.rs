@@ -2,7 +2,7 @@
 //! protocol workload and maintains labeled series in `BENCH_engine.json`.
 //!
 //! ```text
-//! engine_throughput [--quick] [--threads N] [--label NAME] [--output PATH]
+//! engine_throughput [--quick] [--label NAME] [--output PATH]
 //! engine_throughput --check PATH [--require a,b,c]
 //! ```
 //!
@@ -18,7 +18,6 @@ use mtm_bench::throughput::{
 
 struct Args {
     quick: bool,
-    threads: usize,
     label: String,
     output: String,
     check_path: Option<String>,
@@ -28,7 +27,6 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         quick: false,
-        threads: 1,
         label: "after".to_string(),
         output: "BENCH_engine.json".to_string(),
         check_path: None,
@@ -43,11 +41,6 @@ fn parse_args() -> Result<Args, String> {
     while i < argv.len() {
         match argv[i].as_str() {
             "--quick" => args.quick = true,
-            "--threads" => {
-                args.threads = take(&argv, &mut i, "--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
-            }
             "--label" => args.label = take(&argv, &mut i, "--label")?,
             "--output" => args.output = take(&argv, &mut i, "--output")?,
             "--check" => args.check_path = Some(take(&argv, &mut i, "--check")?),
@@ -68,7 +61,7 @@ fn main() {
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!(
-                "usage: engine_throughput [--quick] [--threads N] [--label NAME] [--output PATH]\n       \
+                "usage: engine_throughput [--quick] [--label NAME] [--output PATH]\n       \
                  engine_throughput --check PATH [--require a,b,c]"
             );
             std::process::exit(2);
@@ -95,7 +88,7 @@ fn main() {
         return;
     }
 
-    let entries = run_workloads(args.quick, args.threads);
+    let entries = run_workloads(args.quick);
     println!("{:<48} {:>10} {:>16}", "bench", "ns/nr", "node-rounds/s");
     for e in &entries {
         println!(

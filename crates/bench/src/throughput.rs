@@ -37,8 +37,6 @@ pub struct Entry {
     pub nodes: usize,
     pub rounds: u64,
     pub reps: u32,
-    /// Engine worker threads the workload ran with.
-    pub threads: usize,
     /// Best (minimum) wall seconds for `rounds` rounds across reps.
     pub best_secs: f64,
     /// Peak RSS sampled while this workload ran (`VmRSS` max over the
@@ -61,7 +59,6 @@ impl Entry {
             ("nodes".to_string(), Value::Num(self.nodes as f64)),
             ("rounds".to_string(), Value::Num(self.rounds as f64)),
             ("reps".to_string(), Value::Num(f64::from(self.reps))),
-            ("threads".to_string(), Value::Num(self.threads as f64)),
             ("best_secs".to_string(), Value::Num(self.best_secs)),
             ("ns_per_node_round".to_string(), Value::Num(self.ns_per_node_round())),
             ("node_rounds_per_sec".to_string(), Value::Num(self.node_rounds_per_sec())),
@@ -81,13 +78,11 @@ fn time_rounds<P: Protocol>(
     build: &dyn Fn() -> Engine<P, StaticTopology>,
     rounds: u64,
     reps: u32,
-    threads: usize,
 ) -> (f64, Option<u64>) {
     let sampler = RssSampler::start(10);
     let mut best = f64::INFINITY;
     for _ in 0..=reps {
         let mut engine = build();
-        engine.set_threads(threads);
         let sw = Stopwatch::start();
         engine.run_rounds(rounds);
         let secs = sw.elapsed_secs();
@@ -100,7 +95,7 @@ fn time_rounds<P: Protocol>(
     (best, sampler.stop())
 }
 
-fn blind_gossip_entry(name: &str, graph: &Graph, rounds: u64, reps: u32, threads: usize) -> Entry {
+fn blind_gossip_entry(name: &str, graph: &Graph, rounds: u64, reps: u32) -> Entry {
     let n = graph.node_count();
     let uids = UidPool::random(n, 7);
     let (best, rss) = time_rounds(
@@ -115,20 +110,18 @@ fn blind_gossip_entry(name: &str, graph: &Graph, rounds: u64, reps: u32, threads
         },
         rounds,
         reps,
-        threads,
     );
     Entry {
         bench: format!("engine_rounds/blind_gossip/{name}"),
         nodes: n,
         rounds,
         reps,
-        threads,
         best_secs: best,
         peak_rss_bytes: rss,
     }
 }
 
-fn ppush_entry(name: &str, graph: &Graph, rounds: u64, reps: u32, threads: usize) -> Entry {
+fn ppush_entry(name: &str, graph: &Graph, rounds: u64, reps: u32) -> Entry {
     let n = graph.node_count();
     let (best, rss) = time_rounds(
         &|| {
@@ -142,26 +135,18 @@ fn ppush_entry(name: &str, graph: &Graph, rounds: u64, reps: u32, threads: usize
         },
         rounds,
         reps,
-        threads,
     );
     Entry {
         bench: format!("engine_rounds/ppush/{name}"),
         nodes: n,
         rounds,
         reps,
-        threads,
         best_secs: best,
         peak_rss_bytes: rss,
     }
 }
 
-fn bit_convergence_entry(
-    name: &str,
-    graph: &Graph,
-    rounds: u64,
-    reps: u32,
-    threads: usize,
-) -> Entry {
+fn bit_convergence_entry(name: &str, graph: &Graph, rounds: u64, reps: u32) -> Entry {
     let n = graph.node_count();
     let config = TagConfig::for_network(n, graph.max_degree());
     let uids = UidPool::random(n, 7);
@@ -177,22 +162,20 @@ fn bit_convergence_entry(
         },
         rounds,
         reps,
-        threads,
     );
     Entry {
         bench: format!("engine_rounds/bit_convergence/{name}"),
         nodes: n,
         rounds,
         reps,
-        threads,
         best_secs: best,
         peak_rss_bytes: rss,
     }
 }
 
-/// Run every workload at `threads` engine workers; `quick` trims
-/// rounds/reps and skips the big instances (CI smoke mode).
-pub fn run_workloads(quick: bool, threads: usize) -> Vec<Entry> {
+/// Run every workload; `quick` trims rounds/reps and skips the big
+/// instances (CI smoke mode).
+pub fn run_workloads(quick: bool) -> Vec<Entry> {
     let (rounds, reps) = if quick { (50, 1) } else { (500, 4) };
     let mut entries = Vec::new();
     for (name, graph) in [
@@ -201,15 +184,15 @@ pub fn run_workloads(quick: bool, threads: usize) -> Vec<Entry> {
         ("cycle-1024", gen::cycle(1024)),
         ("line-of-stars-16", gen::line_of_stars(16, 16)),
     ] {
-        entries.push(blind_gossip_entry(name, &graph, rounds, reps, threads));
+        entries.push(blind_gossip_entry(name, &graph, rounds, reps));
     }
     if !quick {
         let big = gen::random_regular(65536, 8, 1);
-        entries.push(blind_gossip_entry("expander8-65536", &big, 100, 2, threads));
+        entries.push(blind_gossip_entry("expander8-65536", &big, 100, 2));
     }
     let expander = gen::random_regular(1024, 8, 2);
-    entries.push(ppush_entry("expander8-1024", &expander, rounds, reps, threads));
-    entries.push(bit_convergence_entry("expander8-1024", &expander, rounds, reps, threads));
+    entries.push(ppush_entry("expander8-1024", &expander, rounds, reps));
+    entries.push(bit_convergence_entry("expander8-1024", &expander, rounds, reps));
     entries
 }
 
@@ -307,7 +290,6 @@ mod tests {
                 nodes: 100,
                 rounds: 10,
                 reps: 1,
-                threads: 1,
                 best_secs: 0.5,
                 peak_rss_bytes: Some(1 << 20),
             })

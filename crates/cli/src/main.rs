@@ -13,11 +13,6 @@
 //!   `--crash-leader R`, `--wedge-window W`. Exits 0 on a completed
 //!   horizon, 3 when wedge diagnosis fires.
 //!
-//! `elect`, `serve` and `spread` accept `--threads N` to run the round
-//! executor on N worker shards (0 = all cores). Output is bit-identical at
-//! every thread count — the sharded executor is deterministic by
-//! construction.
-//!
 //! `elect` and `spread` accept `--backend event` to drive the same
 //! protocols with the discrete-event simulator instead of lockstep rounds:
 //! per-link latencies and per-node clock drift from a seeded
@@ -73,12 +68,12 @@ fn usage() {
     eprintln!("usage:");
     eprintln!("  mtm experiment <id|all> [--quick|--full] [--trials N] [--seed N] [--threads N] [--csv PATH]");
     eprintln!(
-        "  mtm elect <blind|bitconv|nonsync> <family> <n> [--seed N] [--tau N] [--threads N] [--detect-stuck]"
+        "  mtm elect <blind|bitconv|nonsync> <family> <n> [--seed N] [--tau N] [--detect-stuck]"
     );
     eprintln!("            [--backend lockstep|event] [--latency-spread S]");
     eprintln!("  mtm serve <family> <n> [--seed N] [--rounds N] [--timeout N] [--churn C,R]");
-    eprintln!("            [--loss P] [--crash-leader ROUND] [--wedge-window W] [--threads N]");
-    eprintln!("  mtm spread <push-pull|ppush|classical> <family> <n> [--seed N] [--threads N]");
+    eprintln!("            [--loss P] [--crash-leader ROUND] [--wedge-window W]");
+    eprintln!("  mtm spread <push-pull|ppush|classical> <family> <n> [--seed N]");
     eprintln!("            [--backend lockstep|event] [--latency-spread S]");
     eprintln!("  mtm graph <family> <n> [--seed N] [--export PATH]");
     eprintln!(
@@ -173,7 +168,7 @@ impl GraphSource {
 /// Which simulator drives the run.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Backend {
-    /// Global synchronized rounds (the default; sequential or sharded).
+    /// Global synchronized rounds (the default).
     Lockstep,
     /// Discrete-event simulation with per-link latencies and no global
     /// round clock ([`EventEngine`]).
@@ -189,7 +184,6 @@ struct RunArgs {
     max_rounds: u64,
     export: Option<String>,
     detect_stuck: bool,
-    threads: usize,
     backend: Backend,
     /// Latency-distribution spread for the event backend
     /// ([`LatencyModel::multipeer`]).
@@ -212,7 +206,6 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
     let mut max_rounds = 500_000_000;
     let mut export = None;
     let mut detect_stuck = false;
-    let mut threads = 1usize;
     let mut backend = Backend::Lockstep;
     let mut latency_spread = 8u64;
     while i < args.len() {
@@ -247,14 +240,6 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
                 export = Some(args.get(i).ok_or("--export needs a path")?.clone());
             }
             "--detect-stuck" => detect_stuck = true,
-            "--threads" => {
-                i += 1;
-                threads = args
-                    .get(i)
-                    .ok_or("--threads needs a value")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
-            }
             "--backend" => {
                 i += 1;
                 backend = match args.get(i).map(String::as_str) {
@@ -284,21 +269,8 @@ fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
         if detect_stuck {
             return Err("--detect-stuck is lockstep-only".into());
         }
-        if threads != 1 {
-            return Err("--threads is lockstep-only (the event queue is inherently serial)".into());
-        }
     }
-    Ok(RunArgs {
-        source,
-        seed,
-        tau,
-        max_rounds,
-        export,
-        detect_stuck,
-        threads,
-        backend,
-        latency_spread,
-    })
+    Ok(RunArgs { source, seed, tau, max_rounds, export, detect_stuck, backend, latency_spread })
 }
 
 fn build_topology(a: &RunArgs) -> Result<(BoxedTopology, usize, usize), String> {
@@ -352,7 +324,6 @@ fn cmd_elect(args: &[String]) -> i32 {
     macro_rules! run_elect {
         ($params:expr, $nodes:expr, $window:expr) => {{
             let mut e = Engine::new(topo, $params, sched, $nodes, a.seed);
-            e.set_threads(a.threads);
             if a.detect_stuck {
                 e.enable_stuck_detection($window);
             }
@@ -510,7 +481,6 @@ struct ServeArgs {
     loss: f64,
     crash_leader: Option<u64>,
     wedge_window: u64,
-    threads: usize,
 }
 
 fn parse_serve_args(args: &[String]) -> Result<ServeArgs, String> {
@@ -533,7 +503,6 @@ fn parse_serve_args(args: &[String]) -> Result<ServeArgs, String> {
         loss: 0.0,
         crash_leader: None,
         wedge_window: 0,
-        threads: 1,
     };
     let take = |args: &[String], i: &mut usize, flag: &str| -> Result<String, String> {
         *i += 1;
@@ -585,11 +554,6 @@ fn parse_serve_args(args: &[String]) -> Result<ServeArgs, String> {
                 a.wedge_window = take(args, &mut i, "--wedge-window")?
                     .parse()
                     .map_err(|e| format!("--wedge-window: {e}"))?;
-            }
-            "--threads" => {
-                a.threads = take(args, &mut i, "--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
             }
             other => return Err(format!("unknown flag: {other}")),
         }
@@ -679,7 +643,6 @@ fn cmd_serve(args: &[String]) -> i32 {
         MaintainedGossip::spawn(&uids, MaintenanceConfig::new(timeout)),
         a.seed,
     );
-    e.set_threads(a.threads);
     if a.loss > 0.0 {
         e.set_proposal_loss(a.loss);
     }
@@ -758,13 +721,9 @@ fn cmd_spread(args: &[String]) -> i32 {
         a.source.describe(),
         a.seed
     );
-    // Every arm goes through set_threads — `--threads` used to be parsed
-    // and then silently dropped here, unlike elect/serve.
     macro_rules! run_spread {
         ($params:expr, $nodes:expr) => {{
-            let mut e = Engine::new(topo, $params, sched, $nodes, a.seed);
-            e.set_threads(a.threads);
-            e.run_to_full_information(a.max_rounds)
+            Engine::new(topo, $params, sched, $nodes, a.seed).run_to_full_information(a.max_rounds)
         }};
     }
     let outcome = match algo.as_str() {

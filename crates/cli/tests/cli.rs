@@ -4,9 +4,8 @@
 //! * `mtm spread` exit codes — 0 every node informed, 1 incomplete within
 //!   the round budget, 2 usage error (previously asserted only in CI shell
 //!   one-liners, which cannot distinguish 1 from 2);
-//! * `--threads` actually reaches the engine on `spread` (byte-identical
-//!   stdout at 1 vs 2 workers — the regression was parsing the flag and
-//!   dropping it);
+//! * `--threads` is not a flag of `elect`, `serve` or `spread` (the round
+//!   executor is single-threaded; trial fan-out lives in `experiment`);
 //! * `--backend event` determinism: same seed ⇒ byte-identical stdout,
 //!   different seed ⇒ different timing; flag validation for the
 //!   lockstep-only options.
@@ -60,15 +59,19 @@ fn spread_exit_2_on_usage_errors() {
 }
 
 #[test]
-fn spread_honors_threads() {
-    // The bug: `--threads` parsed but never plumbed into the engine. The
-    // sharded executor is bit-identical by construction, so the whole
-    // stdout must match across thread counts.
-    let base = &["spread", "ppush", "expander8", "128", "--seed", "7"];
-    let t1 = mtm(&[base, &["--threads", "1"][..]].concat());
-    let t2 = mtm(&[base, &["--threads", "2"][..]].concat());
-    assert_eq!(t1.status.code(), Some(0));
-    assert_eq!(stdout(&t1), stdout(&t2), "spread output must not depend on --threads");
+fn threads_flag_is_a_usage_error_on_single_runs() {
+    // A single run has one round executor; an accepted-but-ignored
+    // `--threads` would promise a speedup that does not exist.
+    for cmd in [
+        &["elect", "blind", "expander8", "64"][..],
+        &["serve", "expander8", "64", "--rounds", "10"][..],
+        &["spread", "ppush", "expander8", "64"][..],
+    ] {
+        let out = mtm(&[cmd, &["--threads", "2"][..]].concat());
+        assert_eq!(out.status.code(), Some(2), "{cmd:?} must reject --threads");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("unknown flag: --threads"), "{cmd:?}: {stderr}");
+    }
 }
 
 #[test]
@@ -90,7 +93,7 @@ fn elect_event_backend_completes_and_validates_flags() {
     assert!(stdout(&out).contains("stabilized at tick"));
 
     // Lockstep-only flags are rejected, not silently ignored.
-    for extra in [&["--tau", "4"][..], &["--detect-stuck"][..], &["--threads", "2"][..]] {
+    for extra in [&["--tau", "4"][..], &["--detect-stuck"][..]] {
         let mut args = vec!["elect", "blind", "cycle", "16", "--backend", "event"];
         args.extend_from_slice(extra);
         assert_eq!(mtm(&args).status.code(), Some(2), "{extra:?} must be rejected under event");

@@ -1,20 +1,21 @@
-//! Model-conformance audit mode.
+//! Model-conformance audit.
 //!
-//! With the default-on `audit` cargo feature, every round the engine
-//! executes is checked against the mobile telephone model's contract
-//! (Section III of the paper), and any breach panics with a structured
-//! [`Violation`] carrying the round and node where it happened:
+//! Every round either backend executes is checked against the mobile
+//! telephone model's contract (Section III of the paper), and any breach
+//! panics with a structured [`Violation`] carrying the round and node
+//! where it happened (on the event backend, "round" is the node's local
+//! round):
 //!
 //! - every advertised [`Tag`] fits the model's `b` bits,
 //! - every exchanged payload stays within the budget of
 //!   `max_payload_uids` UIDs plus `max_payload_bits` extra bits,
 //! - a node only proposes to neighbors it actually saw in its scan,
 //! - under [`ConnectionPolicy::SingleUniform`] the accepted proposals
-//!   form a matching: no node participates in two connections per round.
+//!   form a matching: no node participates in two connections per round
+//!   (lockstep rounds; the event backend resolves one proposal per listen
+//!   window by construction).
 //!
-//! Building with `--no-default-features` strips the audit for maximum
-//! throughput; the engine then falls back to the original spot asserts
-//! (tag width, proposal visibility) and debug-only payload checks.
+//! The audit has no off switch: results, tests and benchmarks all run it.
 //!
 //! The module also hosts [`determinism_self_check`], the executable form
 //! of the repo's determinism contract: run the same `(seed, config)`
@@ -28,8 +29,8 @@ use mtm_graph::{DynamicTopology, NodeId};
 
 use crate::engine::Engine;
 use crate::metrics::{Metrics, RoundTrace};
-use crate::model::Tag;
-use crate::protocol::Protocol;
+use crate::model::{ModelParams, Tag};
+use crate::protocol::{PayloadCost, Protocol};
 
 /// A breach of the mobile telephone model contract, with enough context
 /// (round, node, offending values) to replay the failure.
@@ -82,9 +83,8 @@ impl fmt::Display for Violation {
     }
 }
 
-/// Per-round conformance checker. Owned by the engine when the `audit`
-/// feature is on; all scratch space is reused so steady-state auditing
-/// allocates nothing.
+/// Per-round conformance checker, owned by each backend. All scratch space
+/// is reused so steady-state auditing allocates nothing.
 #[derive(Debug, Default)]
 pub struct Auditor {
     endpoints: Vec<NodeId>,
@@ -105,17 +105,17 @@ impl Auditor {
         }
     }
 
-    /// Check a payload against the per-connection budget.
+    /// Check a payload against the model's per-connection budget.
     #[inline]
     pub fn check_payload(
         &self,
         round: u64,
         node: usize,
-        uid_count: u32,
-        max_uids: u32,
-        extra_bits: u32,
-        max_bits: u32,
+        payload: &impl PayloadCost,
+        params: &ModelParams,
     ) {
+        let (uid_count, extra_bits) = (payload.uid_count(), payload.extra_bits());
+        let (max_uids, max_bits) = (params.max_payload_uids, params.max_payload_bits);
         if uid_count > max_uids || extra_bits > max_bits {
             fail(Violation::PayloadBudget {
                 round,
@@ -215,16 +215,28 @@ mod tests {
         Auditor::default().check_tag(7, 3, Tag(4), 2);
     }
 
+    /// A payload of `.0` UIDs plus `.1` extra bits.
+    struct Cost(u32, u32);
+    impl PayloadCost for Cost {
+        fn uid_count(&self) -> u32 {
+            self.0
+        }
+        fn extra_bits(&self) -> u32 {
+            self.1
+        }
+    }
+
+    // `ModelParams::mobile` allows 2 UIDs plus 256 extra bits.
     #[test]
     #[should_panic(expected = "payload exceeds model budget")]
     fn over_budget_payload_caught() {
-        Auditor::default().check_payload(2, 5, 3, 2, 0, 256);
+        Auditor::default().check_payload(2, 5, &Cost(3, 0), &ModelParams::mobile(0));
     }
 
     #[test]
     #[should_panic(expected = "payload exceeds model budget")]
     fn over_budget_extra_bits_caught() {
-        Auditor::default().check_payload(2, 5, 1, 2, 300, 256);
+        Auditor::default().check_payload(2, 5, &Cost(1, 300), &ModelParams::mobile(0));
     }
 
     #[test]

@@ -1,12 +1,18 @@
-//! The round executor.
+//! The lockstep round executor.
 //!
 //! [`Engine`] drives a vector of [`Protocol`] nodes through the mobile (or
 //! classical) telephone model's round phases over a dynamic topology. The
-//! model is a synchronous round-based system; within a trial the executor
-//! runs either the straight-line sequential path or the sharded parallel
-//! path (see [`Engine::set_threads`] and the `parallel` module) — the two
-//! are bit-for-bit identical. Trial-level fan-out lives one level up, in
-//! [`crate::runner`].
+//! phase order — active set, advertise, scan and act, collect proposals,
+//! accept, deliver, end of round — is written once, in `Engine::run_round`,
+//! which is generic over where a round's choices come from: [`Engine::step`]
+//! draws them from the per-node RNG streams, and [`Engine::step_scripted`]
+//! takes them from a [`RoundScript`] (the `mtm-check` replay hook). Both
+//! monomorphize to straight-line code. Trial-level fan-out lives one level
+//! up, in [`crate::runner`].
+//!
+//! Every executed round is checked against the model contract by the
+//! [`Auditor`] (tag width, payload budget, proposal visibility,
+//! matching-shaped acceptance); there is no unaudited build.
 //!
 //! # Hot-path design
 //!
@@ -45,14 +51,12 @@
 //!   sequential loss stream in proposer order);
 //! - receivers resolve acceptance and take delivery in **ascending node
 //!   id** order (v1 used first-proposal order). Per-node streams are
-//!   unaffected by this ordering — it exists so a shard-partitioned
-//!   executor can merge per-shard results by concatenation.
+//!   unaffected by this ordering; changing it would still reorder
+//!   `AcceptAll` interactions and the connection log, so it stays.
 //!
-//! Because no draw depends on cross-node ordering, the sharded parallel
-//! path replays the sequential execution exactly. Any optimization must
-//! preserve the streams bit-for-bit — see the trace-equivalence suite
-//! (`tests/trace_equivalence.rs`), which pins both executor paths against
-//! a straight-line reference implementation at several thread counts, and
+//! Any optimization must preserve the streams bit-for-bit — see the
+//! trace-equivalence suite (`tests/trace_equivalence.rs`), which pins the
+//! executor against a straight-line reference implementation, and
 //! [`crate::audit::determinism_self_check`].
 
 use mtm_graph::{DynamicTopology, NodeId};
@@ -60,13 +64,11 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 
 use crate::activation::ActivationSchedule;
+use crate::audit::Auditor;
 use crate::executor::{uniform_accept_index, ExecutorSet, RoundExecuter};
 use crate::metrics::{Metrics, RoundTrace};
 use crate::model::{Acceptance, ConnectionPolicy, ModelParams, Tag};
-use crate::protocol::{Action, LeaderView, PayloadCost, Protocol, RumorView, Scan};
-
-#[path = "parallel.rs"]
-mod parallel;
+use crate::protocol::{Action, LeaderView, Protocol, RumorView, Scan};
 
 /// Version tag for the engine's execution semantics — the part of the RNG
 /// contract that recorded results depend on (see the module docs). Bumped
@@ -179,6 +181,118 @@ pub struct RoundScript {
     pub accept: Vec<(NodeId, NodeId)>,
 }
 
+/// Where one round's choices come from. `Engine::run_round` writes the
+/// phase pipeline once; a source decides only what each node advertises,
+/// how it acts on its scan, and which buffered proposer a listener accepts.
+trait ChoiceSource<P: Protocol> {
+    /// Whether [`Engine::set_proposal_loss`] applies. A script already
+    /// resolves the fate of every proposal, so it subsumes loss.
+    const APPLIES_LOSS: bool;
+
+    fn advertise(&self, u: usize, node: &mut P, local_round: u64, rng: &mut SmallRng) -> Tag;
+
+    fn act(&self, u: usize, node: &mut P, scan: &Scan<'_>, rng: &mut SmallRng) -> Action;
+
+    /// Listener `v`'s accepted proposer among its buffered `incoming`
+    /// proposers (ascending), or `None` to accept nothing — its proposals
+    /// then count as dropped. `draw` makes the model's random choice from
+    /// `v`'s own stream.
+    fn accept(
+        &self,
+        v: NodeId,
+        incoming: &[NodeId],
+        draw: impl FnOnce() -> NodeId,
+    ) -> Option<NodeId>;
+}
+
+/// Choices drawn from the per-node RNG streams: the model itself.
+struct Drawn;
+
+impl<P: Protocol> ChoiceSource<P> for Drawn {
+    const APPLIES_LOSS: bool = true;
+
+    #[inline]
+    fn advertise(&self, _u: usize, node: &mut P, local_round: u64, rng: &mut SmallRng) -> Tag {
+        node.advertise(local_round, rng)
+    }
+
+    #[inline]
+    fn act(&self, _u: usize, node: &mut P, scan: &Scan<'_>, rng: &mut SmallRng) -> Action {
+        node.act(scan, rng)
+    }
+
+    #[inline]
+    fn accept(
+        &self,
+        _v: NodeId,
+        _incoming: &[NodeId],
+        draw: impl FnOnce() -> NodeId,
+    ) -> Option<NodeId> {
+        Some(draw())
+    }
+}
+
+/// Choices taken from a validated [`RoundScript`]; draws nothing.
+struct Scripted<'a> {
+    script: &'a RoundScript,
+    /// `pick[v]`: the proposer the script has receiver `v` accept.
+    pick: Vec<Option<NodeId>>,
+}
+
+impl<'a> Scripted<'a> {
+    /// Check that `script` covers `n` nodes and that its matching pairs
+    /// scripted proposals with listening receivers, at most one each.
+    fn new(script: &'a RoundScript, n: usize) -> Self {
+        assert_eq!(script.advertise.len(), n, "script advertise choices must cover all nodes");
+        assert_eq!(script.actions.len(), n, "script actions must cover all nodes");
+        let mut pick = vec![None; n];
+        for &(u, v) in &script.accept {
+            let (ui, vi) = (u as usize, v as usize);
+            assert!(ui < n && vi < n, "accepted pair ({u}, {v}) out of range");
+            assert_eq!(
+                script.actions[ui],
+                Action::Propose(v),
+                "accepted pair ({u}, {v}) does not match a scripted proposal"
+            );
+            assert_eq!(
+                script.actions[vi],
+                Action::Listen,
+                "receiver {v} did not listen this round"
+            );
+            assert!(pick[vi].is_none(), "receiver {v} accepts more than one proposal");
+            pick[vi] = Some(u);
+        }
+        Scripted { script, pick }
+    }
+}
+
+impl<P: Protocol> ChoiceSource<P> for Scripted<'_> {
+    const APPLIES_LOSS: bool = false;
+
+    fn advertise(&self, u: usize, node: &mut P, local_round: u64, _rng: &mut SmallRng) -> Tag {
+        node.apply_choice(local_round, self.script.advertise[u])
+    }
+
+    fn act(&self, u: usize, node: &mut P, scan: &Scan<'_>, _rng: &mut SmallRng) -> Action {
+        let action = self.script.actions[u];
+        node.apply_action(scan, action);
+        action
+    }
+
+    fn accept(
+        &self,
+        v: NodeId,
+        incoming: &[NodeId],
+        _draw: impl FnOnce() -> NodeId,
+    ) -> Option<NodeId> {
+        let pick = self.pick[v as usize];
+        // Loss-free and all-active, so a scripted proposal onto a listener
+        // always reaches its buffer.
+        debug_assert!(pick.is_none_or(|u| incoming.contains(&u)));
+        pick
+    }
+}
+
 /// Progress-tracking state for the stuck-run detector.
 struct StuckDetector {
     window: u64,
@@ -206,9 +320,6 @@ pub struct Engine<P: Protocol, T: DynamicTopology> {
     // is `counter_coin(loss_seed, round, proposer) < loss_prob`, a pure
     // function with no sequential state (see the module docs).
     loss_seed: u64,
-    // Worker count for the sharded executor (1 = straight-line path).
-    threads: usize,
-    shard_scratch: Vec<parallel::ShardScratch>,
     // Workhorse buffers (reused every round).
     tags: Vec<Tag>,
     slots: Vec<Slot>,
@@ -237,17 +348,18 @@ pub struct Engine<P: Protocol, T: DynamicTopology> {
     // Per-node fingerprint cache for the stuck detector (empty until the
     // first detector update; thereafter only active nodes are re-hashed).
     fp_cache: Vec<u64>,
-    #[cfg(feature = "audit")]
-    auditor: crate::audit::Auditor,
+    auditor: Auditor,
 }
 
 impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
     /// Build an engine for `nodes` over `topology`.
     ///
     /// `seed` determines every random choice in the execution: node `u`
-    /// gets RNG stream `u`, and the engine's own acceptance choices use the
-    /// same per-node streams, so an execution is a pure function of its
-    /// inputs.
+    /// executes on RNG stream `u` (bound by [`ExecutorSet::spawn`], the
+    /// executor contract shared with the event backend), and the engine's
+    /// own acceptance choices use the same per-node streams, so an
+    /// execution is a pure function of its inputs. The executors are
+    /// unzipped into struct-of-arrays state for the hot path.
     pub fn new(
         topology: T,
         params: ModelParams,
@@ -255,27 +367,14 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
         nodes: Vec<P>,
         seed: u64,
     ) -> Self {
-        Self::from_executors(topology, params, schedule, ExecutorSet::spawn(nodes, seed))
-    }
-
-    /// Build the lockstep backend over an already-spawned
-    /// [`ExecutorSet`] — the typed round-executor surface shared with the
-    /// event backend (see [`crate::executor`]). The set is unzipped into
-    /// the engine's struct-of-arrays state: the hot path batches whole
-    /// phases over parallel arrays, but the node↔stream binding and the
-    /// per-phase draw rules are the executor contract's.
-    pub fn from_executors(
-        topology: T,
-        params: ModelParams,
-        schedule: ActivationSchedule,
-        set: ExecutorSet<P>,
-    ) -> Self {
         let n = topology.node_count();
-        assert_eq!(set.len(), n, "one protocol instance per topology node");
+        assert_eq!(nodes.len(), n, "one protocol instance per topology node");
         assert_eq!(schedule.len(), n, "activation schedule must cover all nodes");
-        let seed = set.seed();
-        let (nodes, rngs): (Vec<P>, Vec<SmallRng>) =
-            set.into_executors().into_iter().map(RoundExecuter::into_parts).unzip();
+        let (nodes, rngs): (Vec<P>, Vec<SmallRng>) = ExecutorSet::spawn(nodes, seed)
+            .into_executors()
+            .into_iter()
+            .map(RoundExecuter::into_parts)
+            .unzip();
         Engine {
             topology,
             params,
@@ -291,8 +390,6 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
             // Dedicated stream index far above the per-node range so
             // enabling proposal loss never perturbs node randomness.
             loss_seed: mtm_graph::rng::derive_seed(seed, u64::MAX),
-            threads: 1,
-            shard_scratch: Vec::new(),
             tags: vec![Tag::EMPTY; n],
             slots: vec![Slot::Inactive; n],
             accepted: Vec::new(),
@@ -309,8 +406,7 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
             incoming_len: vec![0; n],
             accept_scratch: Vec::new(),
             fp_cache: Vec::new(),
-            #[cfg(feature = "audit")]
-            auditor: crate::audit::Auditor::default(),
+            auditor: Auditor::default(),
         }
     }
 
@@ -404,28 +500,6 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
         self.loss_prob = prob;
     }
 
-    /// Set the worker count for the sharded round executor (`0` means "use
-    /// [`std::thread::available_parallelism`]"). The executor is bit-for-bit
-    /// deterministic: any thread count produces the identical execution, so
-    /// this is purely a throughput knob. With `threads ≤ 1` (the default)
-    /// rounds run on the calling thread.
-    ///
-    /// The sharded path covers [`ConnectionPolicy::SingleUniform`] (the
-    /// mobile telephone model); [`ConnectionPolicy::AcceptAll`] rounds and
-    /// [`Engine::step_scripted`] always run sequentially.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = if threads == 0 {
-            std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
-        } else {
-            threads
-        };
-    }
-
-    /// The configured worker count (see [`Engine::set_threads`]).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.nodes.len()
@@ -472,17 +546,9 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
         self.round >= 1 && self.schedule.is_active(u, self.round)
     }
 
-    /// Rounds that passed the full conformance audit so far. Always 0 when
-    /// the `audit` feature is disabled.
+    /// Rounds that passed the full conformance audit so far.
     pub fn rounds_audited(&self) -> u64 {
-        #[cfg(feature = "audit")]
-        {
-            self.auditor.rounds_audited()
-        }
-        #[cfg(not(feature = "audit"))]
-        {
-            0
-        }
+        self.auditor.rounds_audited()
     }
 
     /// Run this engine's configuration twice and demand identical
@@ -496,22 +562,47 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
         crate::audit::determinism_self_check(build, rounds)
     }
 
-    /// Execute one full round (all five phases).
+    /// Execute one full round (all five phases), drawing every choice from
+    /// the per-node RNG streams.
     pub fn step(&mut self) {
-        // The sharded path covers the mobile model's matching-shaped
-        // acceptance; AcceptAll (classical model, sequential intra-round
-        // interactions) keeps the straight-line path. Both paths are
-        // bit-for-bit identical where they overlap.
-        if self.threads > 1 && self.params.policy == ConnectionPolicy::SingleUniform {
-            self.step_parallel();
-        } else {
-            self.step_sequential();
-        }
+        self.run_round(&Drawn);
     }
 
-    /// The straight-line round executor: the reference the sharded path is
-    /// pinned against (`tests/trace_equivalence.rs`).
-    fn step_sequential(&mut self) {
+    /// Execute one round following `script` instead of drawing randomness —
+    /// the scripted-adversary hook `mtm-check` uses to replay counterexample
+    /// schedules through the real executor (the same round pipeline, audits
+    /// and delivery path as [`Engine::step`]).
+    ///
+    /// Requirements (asserted): the acceptance policy is
+    /// [`ConnectionPolicy::SingleUniform`], every node is active this round
+    /// (the checker explores synchronized executions only), the script's
+    /// vectors cover all nodes, every scripted proposal targets a current
+    /// neighbor, and `accept` is a matching of scripted proposals onto
+    /// listening receivers. A listener the script leaves unmatched counts
+    /// its proposals as dropped (the scripted adversary subsumes proposal
+    /// loss); proposals onto a busy or matched receiver count as rejected.
+    /// Scripted rounds draw nothing from the per-node RNG streams —
+    /// checkable protocols keep `on_connect`/`end_round` RNG-free — so the
+    /// streams stay aligned for any unscripted rounds around them.
+    pub fn step_scripted(&mut self, script: &RoundScript) {
+        assert_eq!(
+            self.params.policy,
+            ConnectionPolicy::SingleUniform,
+            "scripted rounds model the mobile model's matching-shaped acceptance"
+        );
+        let round = self.round + 1;
+        assert!(
+            round >= self.schedule.last_activation(),
+            "scripted rounds require every node active in round {round}"
+        );
+        self.run_round(&Scripted::new(script, self.nodes.len()));
+    }
+
+    /// The round pipeline, the one place the lockstep phase order is
+    /// written: active set, advertise, scan and act, collect proposals,
+    /// accept, deliver, end of round, then trace and stuck-detector
+    /// bookkeeping. `src` supplies the choices (see [`ChoiceSource`]).
+    fn run_round<S: ChoiceSource<P>>(&mut self, src: &S) {
         self.round += 1;
         let round = self.round;
         let n = self.nodes.len();
@@ -547,7 +638,7 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
         // Phase 1: advertise. The lockstep zip lets the per-node loop run
         // without bounds checks on any of the parallel arrays.
         let tag_bits = self.params.tag_bits;
-        for (_u, (((((slot, &active), &lr), node), rng), tag_slot)) in self
+        for (u, (((((slot, &active), &lr), node), rng), tag_slot)) in self
             .slots
             .iter_mut()
             .zip(&self.active)
@@ -561,14 +652,8 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
                 *slot = Slot::Inactive;
                 continue;
             }
-            let tag = node.advertise(lr, rng);
-            #[cfg(feature = "audit")]
-            self.auditor.check_tag(round, _u, tag, tag_bits);
-            #[cfg(not(feature = "audit"))]
-            assert!(
-                tag.fits(tag_bits),
-                "node {_u} advertised tag {tag:?} exceeding b = {tag_bits} bits"
-            );
+            let tag = src.advertise(u, node, lr, rng);
+            self.auditor.check_tag(round, u, tag, tag_bits);
             *tag_slot = tag;
         }
 
@@ -612,16 +697,10 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
                 &self.visible
             };
             let scan = Scan { neighbors, tags: &self.visible_tags, round, local_round: lr };
-            *slot = match node.act(&scan, rng) {
+            *slot = match src.act(u, node, &scan, rng) {
                 Action::Listen => Slot::Listen,
                 Action::Propose(v) => {
-                    #[cfg(feature = "audit")]
                     self.auditor.check_proposal(round, u, v, scan.neighbors);
-                    #[cfg(not(feature = "audit"))]
-                    assert!(
-                        scan.neighbors.binary_search(&v).is_ok(),
-                        "node {u} proposed to {v}, not a visible neighbor"
-                    );
                     // hot path: u < n <= u32::MAX by construction. mtm-lint: allow(truncating-cast)
                     self.proposed.push((u as NodeId, v));
                     Slot::Propose(v)
@@ -634,7 +713,7 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
         // them out as one CSR span per receiver in the flat arena.
         debug_assert!(self.proposal_pairs.is_empty());
         self.metrics.proposals += self.proposed.len() as u64;
-        if self.loss_prob > 0.0 {
+        if S::APPLIES_LOSS && self.loss_prob > 0.0 {
             Self::collect_proposals::<true>(
                 &self.slots,
                 &self.proposed,
@@ -681,10 +760,9 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
 
         // Phase 4a: decide which proposals are accepted (may need the
         // round graph for the selection-permutation device), receivers in
-        // ascending node id — the canonical order the sharded executor's
-        // shard-concatenation merge reproduces. Then Phase 4b: perform the
-        // payload exchanges.
+        // ascending node id. Then Phase 4b: perform the payload exchanges.
         debug_assert!(self.accepted.is_empty());
+        let acceptance = self.params.acceptance;
         for vi in 0..n {
             let k = self.incoming_len[vi] as usize;
             if k == 0 {
@@ -697,10 +775,11 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
             let incoming = &self.arena[end - k..end];
             match self.params.policy {
                 ConnectionPolicy::SingleUniform => {
-                    let u = match self.params.acceptance {
-                        Acceptance::UniformIndex => {
-                            incoming[uniform_accept_index(&mut self.rngs[vi], k)]
-                        }
+                    let rng = &mut self.rngs[vi];
+                    let scratch = &mut self.accept_scratch;
+                    let active = &self.active;
+                    let draw = || match acceptance {
+                        Acceptance::UniformIndex => incoming[uniform_accept_index(rng, k)],
                         Acceptance::SelectionPermutation => {
                             // Definition VI.2's device: shuffle the
                             // neighbor list, accept the proposer ranked
@@ -709,28 +788,32 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
                             // never propose, so only active ones enter the
                             // shuffle (a subset's relative order within a
                             // uniform permutation is itself uniform).
-                            self.accept_scratch.clear();
-                            if self.all_active {
-                                self.accept_scratch.extend_from_slice(graph.neighbors(v));
+                            scratch.clear();
+                            if all_active {
+                                scratch.extend_from_slice(graph.neighbors(v));
                             } else {
-                                self.accept_scratch.extend(
+                                scratch.extend(
                                     graph
                                         .neighbors(v)
                                         .iter()
                                         .copied()
-                                        .filter(|&w| self.active[w as usize]),
+                                        .filter(|&w| active[w as usize]),
                                 );
                             }
-                            self.accept_scratch.shuffle(&mut self.rngs[vi]);
-                            *self
-                                .accept_scratch
+                            scratch.shuffle(rng);
+                            *scratch
                                 .iter()
                                 .find(|cand| incoming.contains(cand))
                                 .expect("every proposer is a neighbor")
                         }
                     };
-                    self.metrics.rejected_proposals += (k - 1) as u64;
-                    self.accepted.push((u, v));
+                    match src.accept(v, incoming, draw) {
+                        Some(u) => {
+                            self.metrics.rejected_proposals += (k - 1) as u64;
+                            self.accepted.push((u, v));
+                        }
+                        None => self.metrics.dropped_proposals += k as u64,
+                    }
                 }
                 ConnectionPolicy::AcceptAll => {
                     // Deliver in ascending proposer order; each proposer
@@ -744,7 +827,6 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
             }
         }
         self.proposal_pairs.clear();
-        #[cfg(feature = "audit")]
         if self.params.policy == ConnectionPolicy::SingleUniform {
             // Section III: each node participates in at most one
             // connection per round — the accepted set is a matching.
@@ -780,169 +862,6 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
         }
     }
 
-    /// Execute one round following `script` instead of drawing randomness —
-    /// the scripted-adversary hook `mtm-check` uses to replay counterexample
-    /// schedules through the real executor (same phase order, payload
-    /// audits and delivery path as [`Engine::step`]).
-    ///
-    /// Requirements (asserted): the acceptance policy is
-    /// [`ConnectionPolicy::SingleUniform`], every node is active this round
-    /// (the checker explores synchronized executions only), the script's
-    /// vectors cover all nodes, every scripted proposal targets a current
-    /// neighbor, and `accept` is a matching of scripted proposals onto
-    /// listening receivers. Scripted rounds draw nothing from the per-node
-    /// RNG streams — checkable protocols keep `on_connect`/`end_round`
-    /// RNG-free — so the streams stay aligned for any unscripted rounds
-    /// around them.
-    pub fn step_scripted(&mut self, script: &RoundScript) {
-        let n = self.nodes.len();
-        assert_eq!(script.advertise.len(), n, "script advertise choices must cover all nodes");
-        assert_eq!(script.actions.len(), n, "script actions must cover all nodes");
-        assert_eq!(
-            self.params.policy,
-            ConnectionPolicy::SingleUniform,
-            "scripted rounds model the mobile model's matching-shaped acceptance"
-        );
-        self.round += 1;
-        let round = self.round;
-        let topo_may_change = self.stuck.is_some() && self.topology.may_change_at(round);
-        let graph = self.topology.graph_at(round);
-        assert_eq!(graph.node_count(), n, "topology changed node count");
-
-        let round_proposals_before = self.metrics.proposals;
-        let round_connections_before = self.metrics.connections;
-
-        // Same active-set precompute as `step`, then demand full coverage.
-        if self.all_active {
-            for lr in &mut self.local_rounds {
-                *lr += 1;
-            }
-        } else {
-            self.active_count = 0;
-            for u in 0..n {
-                if self.schedule.is_active(u, round) {
-                    self.active[u] = true;
-                    self.active_count += 1;
-                    self.local_rounds[u] = self.schedule.local_round(u, round);
-                } else {
-                    self.active[u] = false;
-                }
-            }
-            self.all_active = self.active_count == n as u64;
-        }
-        assert!(self.all_active, "scripted rounds require every node active in round {round}");
-
-        // Phase 1: advertise, resolving each node's randomness with the
-        // scripted choice.
-        let tag_bits = self.params.tag_bits;
-        for u in 0..n {
-            let tag = self.nodes[u].apply_choice(self.local_rounds[u], script.advertise[u]);
-            #[cfg(feature = "audit")]
-            self.auditor.check_tag(round, u, tag, tag_bits);
-            #[cfg(not(feature = "audit"))]
-            assert!(
-                tag.fits(tag_bits),
-                "node {u} advertised tag {tag:?} exceeding b = {tag_bits} bits"
-            );
-            self.tags[u] = tag;
-        }
-
-        // Phases 2-3: scan, then apply the scripted action.
-        for (u, nbrs) in graph.neighbor_rows().enumerate() {
-            if tag_bits > 0 {
-                self.visible_tags.clear();
-                for &v in nbrs {
-                    self.visible_tags.push(self.tags[v as usize]);
-                }
-            }
-            let scan = Scan {
-                neighbors: nbrs,
-                tags: &self.visible_tags,
-                round,
-                local_round: self.local_rounds[u],
-            };
-            let action = script.actions[u];
-            self.nodes[u].apply_action(&scan, action);
-            self.slots[u] = match action {
-                Action::Listen => Slot::Listen,
-                Action::Propose(v) => {
-                    #[cfg(feature = "audit")]
-                    self.auditor.check_proposal(round, u, v, scan.neighbors);
-                    #[cfg(not(feature = "audit"))]
-                    assert!(
-                        scan.neighbors.binary_search(&v).is_ok(),
-                        "node {u} proposed to {v}, not a visible neighbor"
-                    );
-                    self.metrics.proposals += 1;
-                    Slot::Propose(v)
-                }
-            };
-        }
-
-        // Phase 4: the scripted matching. Validate it against the scripted
-        // proposals, then account for the ones it left on the floor:
-        // rejected when the receiver was busy or chose another proposer,
-        // dropped when a listening receiver accepted nothing (the scripted
-        // adversary subsumes proposal loss).
-        debug_assert!(self.accepted.is_empty());
-        let mut receiver_took = vec![false; n];
-        let mut proposer_matched = vec![false; n];
-        for &(u, v) in &script.accept {
-            let (ui, vi) = (u as usize, v as usize);
-            assert!(ui < n && vi < n, "accepted pair ({u}, {v}) out of range");
-            assert_eq!(
-                self.slots[ui],
-                Slot::Propose(v),
-                "accepted pair ({u}, {v}) does not match a scripted proposal"
-            );
-            assert_eq!(self.slots[vi], Slot::Listen, "receiver {v} did not listen this round");
-            assert!(!receiver_took[vi], "receiver {v} accepts more than one proposal");
-            receiver_took[vi] = true;
-            proposer_matched[ui] = true;
-            self.accepted.push((u, v));
-        }
-        for (u, slot) in self.slots.iter().enumerate().take(n) {
-            if let Slot::Propose(v) = *slot {
-                if proposer_matched[u] {
-                    continue;
-                }
-                if self.slots[v as usize] == Slot::Listen && !receiver_took[v as usize] {
-                    self.metrics.dropped_proposals += 1;
-                } else {
-                    self.metrics.rejected_proposals += 1;
-                }
-            }
-        }
-        self.accepted.sort_unstable();
-        #[cfg(feature = "audit")]
-        self.auditor.check_matching(round, &self.accepted);
-        if self.connection_log.is_some() {
-            self.deliver_accepted::<true>(round);
-        } else {
-            self.deliver_accepted::<false>(round);
-        }
-        self.accepted.clear();
-
-        // Phase 5: end of round.
-        for ((&lr, node), rng) in self.local_rounds.iter().zip(&mut self.nodes).zip(&mut self.rngs)
-        {
-            node.end_round(lr, rng);
-        }
-
-        self.metrics.rounds = round;
-        if let Some(traces) = &mut self.traces {
-            traces.push(RoundTrace {
-                round,
-                active: self.active_count,
-                proposals: self.metrics.proposals - round_proposals_before,
-                connections: self.metrics.connections - round_connections_before,
-            });
-        }
-        if self.stuck.is_some() {
-            self.update_stuck_detector(topo_may_change);
-        }
-    }
-
     /// Phase-4 proposal collection over the scan phase's `proposed` list
     /// (already in ascending proposer order), monomorphized over loss
     /// injection so the loss-free common case carries no per-proposal
@@ -950,9 +869,8 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
     /// Survival of a proposal is the pure counter draw
     /// `counter_coin(loss_seed, round, proposer) < loss_prob` — no
     /// sequential state, so evaluation order is irrelevant (part of the
-    /// RNG contract; the sharded executor draws the same coins at scan
-    /// time). Takes fields rather than `&mut self` because the caller
-    /// still holds the round graph borrow. The caller accounts
+    /// RNG contract). Takes fields rather than `&mut self` because the
+    /// caller still holds the round graph borrow. The caller accounts
     /// `metrics.proposals`.
     #[allow(clippy::too_many_arguments)]
     fn collect_proposals<const LOSSY: bool>(
@@ -1059,31 +977,9 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
     fn connect(&mut self, u: usize, v: usize) {
         let pu = self.nodes[u].payload();
         let pv = self.nodes[v].payload();
-        #[cfg(feature = "audit")]
-        for (node, uids, bits) in
-            [(u, pu.uid_count(), pu.extra_bits()), (v, pv.uid_count(), pv.extra_bits())]
-        {
-            self.auditor.check_payload(
-                self.round,
-                node,
-                uids,
-                self.params.max_payload_uids,
-                bits,
-                self.params.max_payload_bits,
-            );
+        for (node, payload) in [(u, &pu), (v, &pv)] {
+            self.auditor.check_payload(self.round, node, payload, &self.params);
         }
-        #[cfg(not(feature = "audit"))]
-        debug_assert!(
-            pu.uid_count() <= self.params.max_payload_uids
-                && pu.extra_bits() <= self.params.max_payload_bits,
-            "node {u} payload exceeds model budget"
-        );
-        #[cfg(not(feature = "audit"))]
-        debug_assert!(
-            pv.uid_count() <= self.params.max_payload_uids
-                && pv.extra_bits() <= self.params.max_payload_bits,
-            "node {v} payload exceeds model budget"
-        );
         self.nodes[u].on_connect(&pv, &mut self.rngs[u]);
         self.nodes[v].on_connect(&pu, &mut self.rngs[v]);
         self.metrics.connections += 1;
@@ -1187,6 +1083,7 @@ impl<P: Protocol + RumorView, T: DynamicTopology> Engine<P, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::PayloadCost;
     use mtm_graph::{gen, StaticTopology};
     use rand::Rng;
 
@@ -1497,11 +1394,41 @@ mod tests {
     fn audit_counts_rounds() {
         let mut e = engine_on(gen::clique(6), 6, 8);
         e.run_rounds(25);
-        if cfg!(feature = "audit") {
-            assert_eq!(e.rounds_audited(), 25);
-        } else {
-            assert_eq!(e.rounds_audited(), 0);
+        assert_eq!(e.rounds_audited(), 25);
+    }
+
+    /// Star hub 0 with leaves 1..=3: leaves 1 and 2 propose to the hub,
+    /// everyone else listens.
+    fn star_script(accept: Vec<(NodeId, NodeId)>) -> RoundScript {
+        RoundScript {
+            advertise: vec![0; 4],
+            actions: vec![Action::Listen, Action::Propose(0), Action::Propose(0), Action::Listen],
+            accept,
         }
+    }
+
+    #[test]
+    fn scripted_rounds_follow_the_script_and_account_leftovers() {
+        let mut e = engine_on(gen::star(4), 4, 1);
+        e.enable_connection_log();
+        // Matched: one connection, the hub's other proposal is rejected.
+        e.step_scripted(&star_script(vec![(2, 0)]));
+        let m = e.metrics();
+        assert_eq!((m.proposals, m.connections, m.rejected_proposals), (2, 1, 1));
+        assert_eq!(e.connection_log(), &[(1, 2, 0)]);
+        assert_eq!((e.node(1).best, e.node(2).best), (101, 100), "only the matched leaf learns");
+        // Unmatched listener: both proposals count as dropped.
+        e.step_scripted(&star_script(Vec::new()));
+        let m = e.metrics();
+        assert_eq!((m.proposals, m.connections, m.dropped_proposals), (4, 1, 2));
+        assert_eq!(e.rounds_audited(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not match a scripted proposal")]
+    fn scripted_matching_must_pair_real_proposals() {
+        let mut e = engine_on(gen::star(4), 4, 1);
+        e.step_scripted(&star_script(vec![(3, 0)]));
     }
 
     #[test]

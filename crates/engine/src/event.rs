@@ -52,6 +52,10 @@
 //! Same seed ⇒ same event trace, byte for byte (pinned by tests here and
 //! by `tests/event_backend.rs`).
 //!
+//! Every advertised tag, proposal and payload passes the same
+//! [`crate::audit::Auditor`] checks as on the lockstep engine, reported
+//! against the node's local round.
+//!
 //! Proposal loss (`set_proposal_loss`) drops the proposal message itself;
 //! the proposer is unblocked by a timeout scheduled at the instant the
 //! reject would have arrived (one round trip), so loss never deadlocks the
@@ -64,10 +68,11 @@ use std::collections::BinaryHeap;
 use mtm_graph::rng::{counter_coin, derive_seed};
 use mtm_graph::{Graph, NodeId};
 
+use crate::audit::Auditor;
 use crate::executor::{ExecutorSet, RoundExecuter};
 use crate::metrics::Metrics;
 use crate::model::{Acceptance, ConnectionPolicy, ModelParams, Tag};
-use crate::protocol::{Action, LeaderView, PayloadCost, Protocol, RumorView, Scan};
+use crate::protocol::{Action, LeaderView, Protocol, RumorView, Scan};
 
 /// Per-phase timing distributions, in integer ticks. Every duration is
 /// drawn uniformly from `[min, min + spread]` via a counter-based coin —
@@ -291,6 +296,7 @@ pub struct EventEngine<P: Protocol> {
     // Scan scratch, reused across events.
     vis: Vec<NodeId>,
     vis_tags: Vec<Tag>,
+    auditor: Auditor,
 }
 
 impl<P: Protocol> EventEngine<P> {
@@ -352,6 +358,7 @@ impl<P: Protocol> EventEngine<P> {
             trace: None,
             vis: Vec::new(),
             vis_tags: Vec::new(),
+            auditor: Auditor::default(),
         };
         for u in 0..n {
             let jitter = draw(engine.start_seed, u as u64, 0, 0, engine.latency.start_spread);
@@ -381,6 +388,12 @@ impl<P: Protocol> EventEngine<P> {
     }
 
     /// Aggregate counters. `rounds` = the maximum local round reached.
+    ///
+    /// A proposal counts in `proposals` when sent, but in `connections`,
+    /// `rejected_proposals` or `dropped_proposals` only once resolved. Read
+    /// after [`EventEngine::run_until`] returns, up to one proposal per
+    /// node may still be unresolved (see there), so
+    /// `connections + rejected + dropped ≤ proposals ≤ that + n`.
     pub fn metrics(&self) -> Metrics {
         self.metrics
     }
@@ -443,16 +456,11 @@ impl<P: Protocol> EventEngine<P> {
         s
     }
 
-    #[cfg(debug_assertions)]
-    fn check_payload_budget(&self, pl: &P::Payload) {
-        debug_assert!(
-            pl.uid_count() <= self.params.max_payload_uids
-                && pl.extra_bits() <= self.params.max_payload_bits,
-            "payload exceeds the model budget"
-        );
+    /// Audit the payload snapshot node `u` sends (see [`Auditor`]).
+    fn check_payload(&self, u: NodeId, pl: &P::Payload) {
+        let ui = u as usize;
+        self.auditor.check_payload(self.local_round[ui], ui, pl, &self.params);
     }
-    #[cfg(not(debug_assertions))]
-    fn check_payload_budget(&self, _pl: &P::Payload) {}
 
     /// Process one event; returns true iff a payload was delivered (the
     /// only occasions protocol state can change through messages).
@@ -464,11 +472,7 @@ impl<P: Protocol> EventEngine<P> {
                 let lr = self.local_round[ui];
                 self.metrics.rounds = self.metrics.rounds.max(lr);
                 let tag = self.execs[ui].advertise(lr);
-                assert!(
-                    tag.fits(self.params.tag_bits),
-                    "node {ui} advertised tag {tag:?} exceeding b = {} bits",
-                    self.params.tag_bits
-                );
+                self.auditor.check_tag(lr, ui, tag, self.params.tag_bits);
                 self.tags[ui] = tag;
                 self.started[ui] = true;
                 self.phase[ui] = Phase::Scanning;
@@ -514,10 +518,7 @@ impl<P: Protocol> EventEngine<P> {
                         self.schedule(self.now + d, node, Ev::ListenEnd);
                     }
                     Action::Propose(v) => {
-                        assert!(
-                            self.vis.binary_search(&v).is_ok(),
-                            "node {ui} proposed to {v}, not a visible neighbor"
-                        );
+                        self.auditor.check_proposal(lr, ui, v, &self.vis);
                         self.metrics.proposals += 1;
                         self.phase[ui] = Phase::Waiting;
                         let s = self.next_msg(node);
@@ -537,7 +538,7 @@ impl<P: Protocol> EventEngine<P> {
                             );
                         } else {
                             let pl = self.execs[ui].payload();
-                            self.check_payload_budget(&pl);
+                            self.check_payload(node, &pl);
                             self.schedule(
                                 self.now + d,
                                 v,
@@ -571,10 +572,10 @@ impl<P: Protocol> EventEngine<P> {
                         let d = self.link_delay(node, from, s);
                         if i == pick {
                             // Payload snapshots before delivery, exactly as
-                            // the lockstep connect() orders them.
+                            // the lockstep connect() orders them. `pu` was
+                            // audited when its proposal was sent.
                             let pv = self.execs[ui].payload();
-                            self.check_payload_budget(&pv);
-                            self.check_payload_budget(&pu);
+                            self.check_payload(node, &pv);
                             self.execs[ui].deliver(&pu);
                             self.metrics.connections += 1;
                             delivered = true;
@@ -614,6 +615,11 @@ impl<P: Protocol> EventEngine<P> {
     /// `max_time`. The predicate is evaluated before the first event and
     /// after every payload delivery (the only points protocol state can
     /// change). Returns the completion time.
+    ///
+    /// The run stops mid-flight: proposals already sent may still travel
+    /// toward their receivers or sit in an open listen window. Each node
+    /// has at most one outstanding proposal, so at most `n` proposals are
+    /// unresolved in [`EventEngine::metrics`] when this returns.
     pub fn run_until(&mut self, max_time: u64, mut pred: impl FnMut(&Self) -> bool) -> Option<u64> {
         if pred(self) {
             return Some(self.now);
@@ -685,6 +691,7 @@ impl<P: Protocol + RumorView> EventEngine<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::PayloadCost;
     use mtm_graph::gen;
     use rand::rngs::SmallRng;
     use rand::Rng;
@@ -803,6 +810,47 @@ mod tests {
         let out = e.run_to_stabilization(1_000);
         assert_eq!(out.completed_at, Some(0));
         assert_eq!(out.winner, Some(100));
+    }
+
+    #[test]
+    #[should_panic(expected = "model conformance violation")]
+    fn over_budget_payload_is_audited() {
+        /// Claims three UIDs, one more than `ModelParams::mobile` allows.
+        #[derive(Clone)]
+        struct Fat;
+        impl PayloadCost for Fat {
+            fn uid_count(&self) -> u32 {
+                3
+            }
+            fn extra_bits(&self) -> u32 {
+                0
+            }
+        }
+        /// Always proposes to its first visible neighbor.
+        struct Pusher;
+        impl Protocol for Pusher {
+            type Payload = Fat;
+            fn advertise(&mut self, _lr: u64, _rng: &mut SmallRng) -> Tag {
+                Tag::EMPTY
+            }
+            fn act(&mut self, scan: &Scan<'_>, _rng: &mut SmallRng) -> Action {
+                scan.neighbors.first().map_or(Action::Listen, |&v| Action::Propose(v))
+            }
+            fn payload(&self) -> Fat {
+                Fat
+            }
+            fn on_connect(&mut self, _peer: &Fat, _rng: &mut SmallRng) {}
+        }
+        let g = gen::clique(2);
+        let mut e = EventEngine::new(
+            g,
+            ModelParams::mobile(0),
+            vec![Pusher, Pusher],
+            1,
+            LatencyModel::multipeer(0),
+        );
+        // The first proposal sent carries the over-budget payload.
+        e.run_until(1_000, |_| false);
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! so the same executors drive both
 //!
 //! * the **lockstep backend** ([`crate::Engine`]): global synchronized
-//!   rounds, sequential or sharded (`set_threads`), batched over
-//!   struct-of-arrays state for the hot path; and
+//!   rounds, batched over struct-of-arrays state for the hot path; and
 //! * the **event backend** ([`crate::event::EventEngine`]): a discrete-event
 //!   simulation with per-link latencies and no global round clock, which
 //!   owns a `Vec<RoundExecuter<P>>` and calls these methods one event at a
@@ -63,14 +62,6 @@ pub struct RoundExecuter<P: Protocol> {
 }
 
 impl<P: Protocol> RoundExecuter<P> {
-    /// Bind an already-derived RNG stream to a protocol instance. Prefer
-    /// [`ExecutorSet::spawn`], which derives the canonical per-node
-    /// streams; this constructor exists for backends that re-assemble
-    /// executors from the engine's struct-of-arrays state.
-    pub fn from_parts(proto: P, rng: SmallRng) -> Self {
-        RoundExecuter { proto, rng }
-    }
-
     /// Split back into `(protocol, rng)` — the lockstep engine stores the
     /// two halves in parallel arrays so its phase loops stream linearly.
     pub fn into_parts(self) -> (P, SmallRng) {
@@ -145,12 +136,13 @@ impl<P: Protocol> RoundExecuter<P> {
     }
 }
 
-/// The full network's executors plus the trial seed they were derived from
-/// — the analog of tofn's `ProtocolBuilder`: constructed once from
-/// `(protocols, seed)`, then handed to a backend.
+/// The full network's executors — the analog of tofn's `ProtocolBuilder`:
+/// constructed once from `(protocols, seed)`, then handed to a backend.
+/// Backends derive their *non-node* randomness (loss coins, latency draws)
+/// from dedicated sub-streams of the same seed, so node streams are never
+/// perturbed.
 pub struct ExecutorSet<P: Protocol> {
     execs: Vec<RoundExecuter<P>>,
-    seed: u64,
 }
 
 impl<P: Protocol> ExecutorSet<P> {
@@ -161,11 +153,12 @@ impl<P: Protocol> ExecutorSet<P> {
         let execs = protocols
             .into_iter()
             .enumerate()
-            .map(|(u, proto)| {
-                RoundExecuter::from_parts(proto, mtm_graph::rng::stream_rng(seed, u as u64))
+            .map(|(u, proto)| RoundExecuter {
+                proto,
+                rng: mtm_graph::rng::stream_rng(seed, u as u64),
             })
             .collect();
-        ExecutorSet { execs, seed }
+        ExecutorSet { execs }
     }
 
     /// Number of nodes.
@@ -176,13 +169,6 @@ impl<P: Protocol> ExecutorSet<P> {
     /// True iff the set is empty.
     pub fn is_empty(&self) -> bool {
         self.execs.is_empty()
-    }
-
-    /// The trial seed the streams were derived from. Backends derive their
-    /// *non-node* randomness (loss coins, latency draws) from dedicated
-    /// sub-streams of this seed so node streams are never perturbed.
-    pub fn seed(&self) -> u64 {
-        self.seed
     }
 
     /// The per-node executors, consuming the set.
@@ -240,7 +226,6 @@ mod tests {
     fn executor_routes_phases_to_protocol() {
         let set = ExecutorSet::spawn(vec![Probe { best: 9, ended: 0 }], 7);
         assert_eq!(set.len(), 1);
-        assert_eq!(set.seed(), 7);
         let mut ex = set.into_executors().pop().expect("one executor was spawned");
         assert_eq!(ex.advertise(1), Tag::EMPTY);
         let nbrs = [3u32];

@@ -27,9 +27,9 @@
 //! derived with SplitMix64, so a trial is a pure function of
 //! `(topology, protocol construction, seed)`.
 //!
-//! With the default-on `audit` cargo feature every executed round is
-//! additionally validated against the model contract (tag width, payload
-//! budget, proposal visibility, matching-shaped acceptance) — see [`audit`].
+//! Every executed round, on either backend, is validated against the model
+//! contract (tag width, payload budget, proposal visibility,
+//! matching-shaped acceptance) — see [`audit`].
 
 pub mod activation;
 pub mod audit;

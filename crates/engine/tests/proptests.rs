@@ -65,11 +65,11 @@ fn engine_deterministic_for_any_seed() {
     });
 }
 
-/// The sharded executor is the sequential executor: for any random
-/// (topology, activation, loss, seed) configuration, every thread count
-/// yields the same traces, metrics, and final protocol state.
+/// For any random (topology, activation, loss, seed) configuration, a
+/// same-seed rerun yields the same traces, metrics, and final protocol
+/// state, and every proposal is accounted exactly once.
 #[test]
-fn sharded_executor_matches_sequential_for_any_config() {
+fn random_configs_replay_and_conserve_proposals() {
     run_cases(0x5AAD, 16, |_case, rng| {
         let seed = rng.gen::<u64>();
         let n = 2 * rng.gen_range(5..20usize);
@@ -81,7 +81,7 @@ fn sharded_executor_matches_sequential_for_any_config() {
         } else {
             ActivationSchedule::explicit((0..n).map(|_| rng.gen_range(1..20u64)).collect())
         };
-        let run = |threads: usize| {
+        let run = || {
             let nodes: Vec<Spread> = (0..n as u64).map(|u| Spread { best: u + 3 }).collect();
             let mut e = Engine::new(
                 StaticTopology::new(graph.clone()),
@@ -90,7 +90,6 @@ fn sharded_executor_matches_sequential_for_any_config() {
                 nodes,
                 seed,
             );
-            e.set_threads(threads);
             if loss > 0.0 {
                 e.set_proposal_loss(loss);
             }
@@ -98,10 +97,9 @@ fn sharded_executor_matches_sequential_for_any_config() {
             e.run_rounds(60);
             (e.metrics(), e.traces().to_vec(), e.nodes().iter().map(|p| p.best).collect::<Vec<_>>())
         };
-        let sequential = run(1);
-        for threads in [2usize, 4, 8] {
-            assert_eq!(run(threads), sequential, "threads={threads} diverged from sequential");
-        }
+        let (m, traces, bests) = run();
+        assert_eq!(run(), (m, traces, bests), "same-seed run diverged");
+        assert_eq!(m.proposals, m.connections + m.rejected_proposals + m.dropped_proposals);
     });
 }
 

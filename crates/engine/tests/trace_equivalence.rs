@@ -2,8 +2,8 @@
 //! reference implementation of the model's round structure.
 //!
 //! [`Engine::step`] earns its speed from an active-set bitmap, a zero-copy
-//! scan fast path, a flat proposal arena, and a sharded worker-pool path —
-//! none of which may change a single observable bit, because the RNG
+//! scan fast path, and a flat proposal arena — none of which may change a
+//! single observable bit, because the RNG
 //! consumption order is part of the public contract (every recorded
 //! `results/*.csv` depends on it; engine semantics v2, see
 //! [`mtm_engine::ENGINE_SEMANTICS_VERSION`]). The reference executor here
@@ -11,9 +11,8 @@
 //! phase, filters visible neighbors into fresh `Vec`s, and keeps incoming
 //! proposals as one `Vec` per receiver. The property: across random
 //! (topology, schedule, tag_bits, loss, policy, acceptance, seed)
-//! configurations — and at every thread count in {1, 2, 4, 8} — engine and
-//! reference produce identical round traces, connection logs, metrics, and
-//! final node states.
+//! configurations, engine and reference produce identical round traces,
+//! connection logs, metrics, and final node states.
 
 // The reference executor is written in deliberately plain indexed style —
 // it should read like the model's pseudocode, not like optimized Rust.
@@ -321,7 +320,6 @@ impl<T: DynamicTopology> Reference<T> {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_engine<T: DynamicTopology>(
     topology: T,
     params: ModelParams,
@@ -330,12 +328,10 @@ fn run_engine<T: DynamicTopology>(
     seed: u64,
     loss_prob: f64,
     rounds: u64,
-    threads: usize,
 ) -> Observed {
     let mut e = Engine::new(topology, params, schedule, nodes, seed);
     e.enable_tracing();
     e.enable_connection_log();
-    e.set_threads(threads);
     if loss_prob > 0.0 {
         e.set_proposal_loss(loss_prob);
     }
@@ -406,9 +402,6 @@ fn optimized_step_matches_reference_executor() {
             .map(|u| Chatty { tag_bits: cfg.tag_bits, state: u.wrapping_mul(0xA5A5_A5A5) ^ 1 })
             .collect();
 
-        // One reference run, checked against the engine at every thread
-        // count — including 2/4/8 on a sharded path whose shard boundaries
-        // differ each time.
         if let Some(tau) = cfg.dynamic_tau {
             let topo = || RelabelingAdversary::new(cfg.graph.clone(), tau, cfg.seed ^ 0xD15C);
             let want = Reference::new(
@@ -420,24 +413,21 @@ fn optimized_step_matches_reference_executor() {
                 cfg.loss_prob,
             )
             .run(cfg.rounds);
-            for threads in [1usize, 2, 4, 8] {
-                let got = run_engine(
-                    topo(),
-                    cfg.params,
-                    cfg.schedule.clone(),
-                    nodes.clone(),
-                    cfg.seed,
-                    cfg.loss_prob,
-                    cfg.rounds,
-                    threads,
-                );
-                assert_eq!(
-                    got, want,
-                    "case {case}: executor at {threads} threads diverged from the \
-                     reference (n = {n}, b = {}, loss = {}, rounds = {})",
-                    cfg.tag_bits, cfg.loss_prob, cfg.rounds
-                );
-            }
+            let got = run_engine(
+                topo(),
+                cfg.params,
+                cfg.schedule.clone(),
+                nodes.clone(),
+                cfg.seed,
+                cfg.loss_prob,
+                cfg.rounds,
+            );
+            assert_eq!(
+                got, want,
+                "case {case}: executor diverged from the reference \
+                 (n = {n}, b = {}, loss = {}, rounds = {})",
+                cfg.tag_bits, cfg.loss_prob, cfg.rounds
+            );
         } else {
             let topo = || StaticTopology::new(cfg.graph.clone());
             let want = Reference::new(
@@ -449,24 +439,21 @@ fn optimized_step_matches_reference_executor() {
                 cfg.loss_prob,
             )
             .run(cfg.rounds);
-            for threads in [1usize, 2, 4, 8] {
-                let got = run_engine(
-                    topo(),
-                    cfg.params,
-                    cfg.schedule.clone(),
-                    nodes.clone(),
-                    cfg.seed,
-                    cfg.loss_prob,
-                    cfg.rounds,
-                    threads,
-                );
-                assert_eq!(
-                    got, want,
-                    "case {case}: executor at {threads} threads diverged from the \
-                     reference (n = {n}, b = {}, loss = {}, rounds = {})",
-                    cfg.tag_bits, cfg.loss_prob, cfg.rounds
-                );
-            }
+            let got = run_engine(
+                topo(),
+                cfg.params,
+                cfg.schedule.clone(),
+                nodes.clone(),
+                cfg.seed,
+                cfg.loss_prob,
+                cfg.rounds,
+            );
+            assert_eq!(
+                got, want,
+                "case {case}: executor diverged from the reference \
+                 (n = {n}, b = {}, loss = {}, rounds = {})",
+                cfg.tag_bits, cfg.loss_prob, cfg.rounds
+            );
         }
     });
 }
@@ -491,18 +478,15 @@ fn reference_equivalence_holds_for_recorded_workload_shape() {
             0.0,
         )
         .run(80);
-        for threads in [1usize, 2, 4, 8] {
-            let got = run_engine(
-                StaticTopology::new(graph.clone()),
-                ModelParams::mobile(0),
-                ActivationSchedule::synchronized(n),
-                nodes.clone(),
-                seed,
-                0.0,
-                80,
-                threads,
-            );
-            assert_eq!(got, want, "{threads} threads diverged");
-        }
+        let got = run_engine(
+            StaticTopology::new(graph),
+            ModelParams::mobile(0),
+            ActivationSchedule::synchronized(n),
+            nodes,
+            seed,
+            0.0,
+            80,
+        );
+        assert_eq!(got, want, "executor diverged from the reference");
     });
 }

@@ -7,9 +7,8 @@
 //! regime) are only weakly constrained by `n ≤ 2048`; this sweep extends
 //! the log–log slope evidence to national-population scales. Cells past the
 //! direct-CSR threshold build their expanders with the cycle-union
-//! generator and run single-trial with the engine's sharded executor at
-//! `--threads` workers (below it, trials fan out and the engine stays
-//! sequential — same results either way, the executor is deterministic).
+//! generator and run one trial at a time, so only one giant instance is in
+//! memory (below it, trials fan out over `--threads` workers).
 //! Each row also records engineering telemetry: wall-clock seconds,
 //! aggregate node-rounds/sec, and the cell's peak RSS sampled over the run
 //! (`VmRSS` max, honest per cell — not the process-lifetime `VmHWM`).
@@ -21,9 +20,7 @@ use mtm_analysis::table::{fmt_f64, Table};
 use mtm_graph::family::DIRECT_CSR_THRESHOLD;
 use mtm_graph::GraphFamily;
 
-use crate::harness::{
-    bit_convergence_rounds_threaded, blind_gossip_rounds_threaded, summarize, TopoSpec,
-};
+use crate::harness::{bit_convergence_rounds, blind_gossip_rounds, summarize, TopoSpec};
 use crate::opts::{ExpOpts, Scale};
 use crate::perf::{RssSampler, Stopwatch};
 
@@ -82,33 +79,19 @@ pub fn run(opts: &ExpOpts) -> Table {
             let trials = opts.trials_or(default_trials);
             let spec = TopoSpec::Static { family: GraphFamily::Expander8, n };
             // Past the direct-CSR threshold a second instance would not fit
-            // in memory alongside the running one: route `--threads` into
-            // the engine's sharded executor instead of trial fan-out, and
-            // take the cell's shape from the family's construction (the
-            // cycle-union builder yields exactly n nodes, all of degree 8)
-            // rather than rebuilding a sample graph.
+            // in memory alongside the running one: run trials one at a
+            // time, and take the cell's shape from the family's
+            // construction (the cycle-union builder yields exactly n nodes,
+            // all of degree 8) rather than rebuilding a sample graph.
             let giant = n > DIRECT_CSR_THRESHOLD;
-            let (trial_threads, engine_threads) =
-                if giant { (1, opts.threads) } else { (opts.threads, 1) };
+            let threads = if giant { 1 } else { opts.threads };
             let sampler = RssSampler::start(50);
             let sw = Stopwatch::start();
             let results = match sweep.algorithm {
-                "blind-gossip" => blind_gossip_rounds_threaded(
-                    &spec,
-                    trials,
-                    opts.seed,
-                    trial_threads,
-                    engine_threads,
-                    max_rounds,
-                ),
-                _ => bit_convergence_rounds_threaded(
-                    &spec,
-                    trials,
-                    opts.seed,
-                    trial_threads,
-                    engine_threads,
-                    max_rounds,
-                ),
+                "blind-gossip" => {
+                    blind_gossip_rounds(&spec, trials, opts.seed, threads, max_rounds)
+                }
+                _ => bit_convergence_rounds(&spec, trials, opts.seed, threads, max_rounds),
             };
             let wall = sw.elapsed_secs();
             let cell_rss = sampler.stop();
@@ -186,8 +169,8 @@ mod tests {
 
     #[test]
     fn giant_cells_are_single_trial() {
-        // Past the direct-CSR threshold the cell routes `--threads` into
-        // the engine; trial fan-out would multiply peak memory.
+        // Past the direct-CSR threshold trials run one at a time; trial
+        // fan-out would multiply peak memory.
         for sweep in &FULL_SWEEPS {
             for &(n, trials) in sweep.cells {
                 if n > DIRECT_CSR_THRESHOLD {

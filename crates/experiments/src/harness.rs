@@ -110,24 +110,8 @@ pub fn blind_gossip_rounds(
     threads: usize,
     max_rounds: u64,
 ) -> Vec<Option<u64>> {
-    blind_gossip_rounds_threaded(spec, trials, base_seed, threads, 1, max_rounds)
-}
-
-/// [`blind_gossip_rounds`] with the engine's sharded executor at
-/// `engine_threads` workers inside every trial. Results are identical for
-/// any `engine_threads` (the executor is bit-for-bit deterministic — see
-/// `Engine::set_threads`); the knob matters for single-trial giant cells,
-/// where trial-level fan-out has nothing to parallelize.
-pub fn blind_gossip_rounds_threaded(
-    spec: &TopoSpec,
-    trials: usize,
-    base_seed: u64,
-    trial_threads: usize,
-    engine_threads: usize,
-    max_rounds: u64,
-) -> Vec<Option<u64>> {
     let spec = spec.clone();
-    run_trials(trials, base_seed, trial_threads, move |_t, seed| {
+    run_trials(trials, base_seed, threads, move |_t, seed| {
         let topo = spec.build(seed);
         let n = topo.node_count();
         let uids = UidPool::random(n, derive_seed(seed, 10));
@@ -138,7 +122,6 @@ pub fn blind_gossip_rounds_threaded(
             BlindGossip::spawn(&uids),
             derive_seed(seed, 11),
         );
-        e.set_threads(engine_threads);
         let out = e.run_to_stabilization(max_rounds);
         if let Some(w) = out.winner {
             assert_eq!(w, uids.min_uid(), "blind gossip must elect the min UID");
@@ -155,22 +138,8 @@ pub fn bit_convergence_rounds(
     threads: usize,
     max_rounds: u64,
 ) -> Vec<Option<u64>> {
-    bit_convergence_rounds_threaded(spec, trials, base_seed, threads, 1, max_rounds)
-}
-
-/// [`bit_convergence_rounds`] with the engine's sharded executor at
-/// `engine_threads` workers inside every trial (see
-/// [`blind_gossip_rounds_threaded`]).
-pub fn bit_convergence_rounds_threaded(
-    spec: &TopoSpec,
-    trials: usize,
-    base_seed: u64,
-    trial_threads: usize,
-    engine_threads: usize,
-    max_rounds: u64,
-) -> Vec<Option<u64>> {
     let spec = spec.clone();
-    run_trials(trials, base_seed, trial_threads, move |_t, seed| {
+    run_trials(trials, base_seed, threads, move |_t, seed| {
         let mut topo = spec.build(seed);
         let n = topo.node_count();
         // Δ from the topology already built for this trial (round-1 graphs
@@ -193,7 +162,6 @@ pub fn bit_convergence_rounds_threaded(
             nodes,
             derive_seed(seed, 11),
         );
-        e.set_threads(engine_threads);
         let out = e.run_to_stabilization(max_rounds);
         if let Some(w) = out.winner {
             assert_eq!(w, expect.uid, "bit convergence must elect the min (tag, uid) pair");

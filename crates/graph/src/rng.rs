@@ -40,10 +40,10 @@ pub fn stream_rng(parent: u64, stream: u64) -> SmallRng {
 /// `(seed, a, b)` with no sequential RNG state.
 ///
 /// Unlike a stream RNG, the draw for one counter pair never depends on how
-/// many other draws happened or in what order — which is what makes it safe
-/// to evaluate from any shard of a parallel executor. The engine keys its
-/// per-proposal loss coins on `(loss seed, round, proposer)` through this
-/// function.
+/// many other draws happened or in what order, so it can be evaluated in
+/// any order — e.g. by the event backend, whose processing order is not
+/// node order. The engine keys its per-proposal loss coins on
+/// `(loss seed, round, proposer)` through this function.
 ///
 /// The output has 53 uniform mantissa bits (the full precision of an `f64`
 /// in `[0, 1)`), derived by double-mixing the counters through

@@ -24,8 +24,9 @@
 //! `mtm_graph::rng::stream_rng` (or annotated spawn-time seeding), so
 //! per-node stream discipline cannot be bypassed casually.
 //! `parallelism-outside-engine` keeps concurrency where its determinism is
-//! proven: the engine's sharded executor (pinned bit-for-bit by the
-//! trace-equivalence suite) and the annotated trial fan-out. Ad-hoc
+//! proven: the engine's trial runner (results collected in trial order,
+//! each trial a pure function of its seed) and the annotated trial
+//! fan-out. Ad-hoc
 //! threads, unordered parallel reductions, and shared-state primitives
 //! anywhere else can reorder RNG draws or float accumulation and silently
 //! desynchronize recorded tables.
@@ -148,9 +149,9 @@ impl Rule {
             // crate defines SmallRng itself. Everyone else must go through
             // `mtm_graph::rng::stream_rng` or carry an annotation.
             Rule::SmallRngOutsideEngine => crate_name != "engine" && crate_name != "vendor",
-            // The engine's sharded executor is the one place concurrency is
-            // proven deterministic (trace-equivalence at every thread
-            // count). Everywhere else needs an annotation arguing why the
+            // The engine's trial runner is the one place concurrency is
+            // proven deterministic (per-trial seeds, results in trial
+            // order). Everywhere else needs an annotation arguing why the
             // primitive cannot affect recorded output.
             Rule::ParallelismOutsideEngine => crate_name != "engine" && crate_name != "vendor",
         }
@@ -591,7 +592,7 @@ mod tests {
         let src = "std::thread::scope(|s| { s.spawn(|| {}); });\n";
         assert_eq!(scan("crates/core/src/x.rs", src)[0].rule, Rule::ParallelismOutsideEngine);
         assert_eq!(scan("crates/experiments/src/x.rs", src).len(), 1);
-        assert_eq!(scan("crates/engine/src/parallel.rs", src).len(), 0);
+        assert_eq!(scan("crates/engine/src/runner.rs", src).len(), 0);
         let atomics = "use std::sync::atomic::AtomicUsize;\n";
         assert_eq!(scan("crates/cli/src/x.rs", atomics).len(), 1);
         // Annotated trial fan-out is the sanctioned escape hatch.

@@ -107,3 +107,22 @@ fn bit_convergence_stabilizes_under_the_event_backend() {
     assert!(out.winner.is_some(), "stabilization means a single agreed leader");
     assert!(uids.as_slice().contains(&out.winner.expect("checked above")));
 }
+
+#[test]
+fn unresolved_proposals_are_bounded_by_one_per_node() {
+    // `run_until` returns at the first delivery that satisfies the
+    // predicate, mid-flight: proposals already sent may still be in
+    // transit or buffered in an open listen window. Each proposer has at
+    // most one outstanding, so the resolved count trails by at most n.
+    // A lossy run exercises the dropped column too.
+    let mut e = election_engine(256, 13, 16);
+    e.set_proposal_loss(0.1);
+    let out = e.run_to_stabilization(10_000_000);
+    assert!(out.winner.is_some(), "the election must finish");
+    let m = out.metrics;
+    let resolved = m.connections + m.rejected_proposals + m.dropped_proposals;
+    let n = e.node_count() as u64;
+    assert!(m.dropped_proposals > 0, "10% loss must drop something");
+    assert!(resolved <= m.proposals, "{m:?} resolves more proposals than were sent");
+    assert!(m.proposals <= resolved + n, "{m:?} has more than one open proposal per node");
+}

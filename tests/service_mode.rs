@@ -79,6 +79,25 @@ fn same_seed_service_runs_are_identical() {
 }
 
 #[test]
+fn same_seed_lossy_service_runs_are_identical() {
+    // Proposal loss draws counter-based coins keyed on (round, proposer),
+    // outside the per-node streams: a lossy service run must replay just
+    // as exactly as a loss-free one.
+    let run = || {
+        let n = 256;
+        let seed = 0x0DE7_EB21;
+        let g = gen::random_regular(n, 8, derive_seed(seed, 0));
+        let uids = UidPool::random(n, derive_seed(seed, 10));
+        let mut e = service_engine(StaticTopology::new(g), &uids, 64, seed);
+        e.set_proposal_loss(0.1);
+        e.run_service(&ServiceConfig::rounds(500).with_wedge_window(128))
+    };
+    let a = run();
+    assert!(a.metrics.dropped_proposals > 0, "10% loss must drop proposals: {a:?}");
+    assert_eq!(run(), a, "same-seed lossy service replay diverged");
+}
+
+#[test]
 fn multi_epoch_trace_is_pinned() {
     // Golden trace: clique-16, leader crashes permanently at round 150,
     // timeout 64, one 800-round service call. Any change to the round
