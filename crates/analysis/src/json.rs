@@ -2,8 +2,8 @@
 //!
 //! The offline build has no serde, so JSON documents round-trip through
 //! this hand-rolled module (same approach as `mtm-lint`'s report writer):
-//! the bench harness's `BENCH_engine.json` and the results provenance
-//! manifest `results/MANIFEST.json` both use it. Objects preserve
+//! the results provenance manifest `results/MANIFEST.json` and e2ebench's
+//! reports and baseline both use it. Objects preserve
 //! insertion order via a `Vec<(String, Value)>` — no hash maps, so
 //! rendering is deterministic.
 

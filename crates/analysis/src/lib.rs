@@ -7,8 +7,8 @@
 //!   Mann-Whitney U test for "A reliably beats B" claims.
 //! * [`table`] — aligned-text and CSV table rendering.
 //! * [`json`] — minimal JSON value, parser, and renderer (the offline
-//!   build has no serde; shared by the bench harness and the results
-//!   provenance manifest).
+//!   build has no serde; shared by e2ebench and the results provenance
+//!   manifest).
 
 pub mod compare;
 pub mod fit;

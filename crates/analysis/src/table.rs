@@ -1,8 +1,8 @@
 //! Aligned-text and CSV table rendering for experiment output.
 //!
 //! Experiments print the same rows the paper's claims describe; these
-//! helpers keep that output consistent across the harness binaries, the
-//! CLI, and EXPERIMENTS.md regeneration.
+//! helpers keep that output consistent between `mtm experiment` and the
+//! `regen` tables behind EXPERIMENTS.md.
 
 /// A simple column-oriented table.
 #[derive(Clone, Debug, Default, PartialEq)]

@@ -2,32 +2,41 @@
 //!
 //! Subcommands:
 //!
-//! * `mtm experiment <id|all> [opts]` — run one (or every) reproduced
-//!   experiment (ids: t1 f1 t2 f2 t3 f3 t4 f4 t5 f5 t6 f6 f7 f8 a1 a2 a3).
+//! * `mtm experiment <id|all> [opts]` — run one (or every) registered
+//!   experiment and print its table (ids: [`mtm_experiments::ALL_IDS`],
+//!   also listed by `mtm --help`). Options: `--quick/--full`,
+//!   `--trials N`, `--seed N`, `--threads N`, `--csv PATH` (with `all`,
+//!   each table gets `PATH` with `-<id>` before the extension). Exits 2 on
+//!   an unknown id or flag, 1 when the CSV write fails.
 //! * `mtm elect <algo> <family> <n> [opts]` — one leader election run
 //!   (`algo`: blind | bitconv | nonsync; `--detect-stuck` diagnoses
 //!   frozen runs and exits 3).
+//! * `mtm spread <algo> <family> <n> [opts]` — one rumor-spreading run
+//!   (`algo`: push-pull | ppush | classical).
 //! * `mtm serve <family> <n> [opts]` — continuous leadership maintenance
 //!   (epochs, heartbeats, re-election) under optional churn: `--rounds N`,
 //!   `--timeout N` (0 = auto), `--churn CRASH,RECOVER`, `--loss P`,
 //!   `--crash-leader R`, `--wedge-window W`. Exits 0 on a completed
 //!   horizon, 3 when wedge diagnosis fires.
+//! * `mtm graph <family> <n>` — print a family instance's statistics
+//!   (`--export PATH` writes edge-list or JSON).
+//! * `mtm trace <algo> <family> <n>` — one traced run, per-round CSV.
+//! * `mtm check [opts]` — the bounded model checker (see `mtm check --help`).
+//!
+//! `elect`, `spread`, `graph` and `trace` parse one shared option set and
+//! each uses the flags that apply to it: `--seed N`, `--tau N` (relabeling
+//! churn; default static), `--max-rounds N`, `--export PATH`,
+//! `--detect-stuck`, `--backend lockstep|event`, `--latency-spread S`.
+//! `serve` takes `--seed N` plus its own options above. None of them takes
+//! the experiment options (`--threads` is rejected as an unknown flag).
 //!
 //! `elect` and `spread` accept `--backend event` to drive the same
 //! protocols with the discrete-event simulator instead of lockstep rounds:
 //! per-link latencies and per-node clock drift from a seeded
 //! [`LatencyModel`] (`--latency-spread S` scales the distributions;
 //! `--max-rounds` bounds simulation ticks). Deterministic per seed.
-//! * `mtm spread <algo> <family> <n> [opts]` — one rumor-spreading run
-//!   (`algo`: push-pull | ppush | classical).
-//! * `mtm graph <family> <n>` — print a family instance's statistics
-//!   (`--export PATH` writes edge-list or JSON).
-//! * `mtm trace <algo> <family> <n>` — one traced run, per-round CSV.
 //!
 //! `--graph-file PATH` substitutes a user topology for any `<family> <n>`.
-//!
-//! Common opts: `--seed N`, `--tau N` (relabeling churn; default static),
-//! `--quick/--full`, `--trials N`, `--threads N`, `--csv PATH`.
 
 use mtm_core::{
     BitConvergence, BlindGossip, MaintainedGossip, MaintenanceConfig, NonSyncBitConvergence, Ppush,

@@ -8,7 +8,10 @@
 //!   executor is single-threaded; trial fan-out lives in `experiment`);
 //! * `--backend event` determinism: same seed ⇒ byte-identical stdout,
 //!   different seed ⇒ different timing; flag validation for the
-//!   lockstep-only options.
+//!   lockstep-only options;
+//! * `mtm experiment` — the only ad hoc experiment front end: header line,
+//!   CSV output, and exit codes 0 success, 1 CSV write failure, 2 usage
+//!   error.
 
 use std::process::{Command, Output};
 
@@ -98,4 +101,37 @@ fn elect_event_backend_completes_and_validates_flags() {
         args.extend_from_slice(extra);
         assert_eq!(mtm(&args).status.code(), Some(2), "{extra:?} must be rejected under event");
     }
+}
+
+/// `mtm experiment f6` at quick scale with two trials, plus `extra` flags.
+fn experiment_f6(extra: &[&str]) -> Output {
+    mtm(&[&["experiment", "f6", "--quick", "--trials", "2", "--seed", "3"][..], extra].concat())
+}
+
+#[test]
+fn experiment_prints_registry_header_and_writes_csv() {
+    let csv = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli-experiment-f6.csv");
+    let _ = std::fs::remove_file(&csv);
+    let out = experiment_f6(&["--csv", csv.to_str().expect("temp path is UTF-8")]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    let title = mtm_experiments::registry::find("f6").expect("f6 is registered").title;
+    let text = stdout(&out);
+    assert!(text.starts_with(&format!("== F6: {title} ==\n")), "stdout: {text}");
+    let body = std::fs::read_to_string(&csv).expect("the CSV file was written");
+    assert!(!body.is_empty(), "CSV is empty");
+}
+
+#[test]
+fn experiment_exit_2_on_usage_errors() {
+    assert_eq!(mtm(&["experiment", "t99", "--quick"]).status.code(), Some(2), "unknown id");
+    assert_eq!(experiment_f6(&["--bogus"]).status.code(), Some(2), "unknown flag");
+}
+
+#[test]
+fn experiment_exit_1_when_csv_write_fails() {
+    let csv = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("no-such-dir/f6.csv");
+    let out = experiment_f6(&["--csv", csv.to_str().expect("temp path is UTF-8")]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("failed to write"), "stderr: {stderr}");
 }

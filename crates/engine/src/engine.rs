@@ -68,7 +68,7 @@ use crate::audit::Auditor;
 use crate::executor::{uniform_accept_index, ExecutorSet, RoundExecuter};
 use crate::metrics::{Metrics, RoundTrace};
 use crate::model::{Acceptance, ConnectionPolicy, ModelParams, Tag};
-use crate::protocol::{Action, LeaderView, Protocol, RumorView, Scan};
+use crate::protocol::{self, Action, LeaderView, Protocol, RumorView, Scan};
 
 /// Version tag for the engine's execution semantics — the part of the RNG
 /// contract that recorded results depend on (see the module docs). Bumped
@@ -1043,14 +1043,7 @@ impl<P: Protocol + LeaderView, T: DynamicTopology> Engine<P, T> {
     /// True iff every node (active or not — inactive nodes hold their own
     /// UID, so agreement requires full activation) reports the same leader.
     pub fn leaders_agree(&self) -> Option<u64> {
-        // An empty node set has no leader to agree on, not a vacuous
-        // agreement — report disagreement rather than panicking.
-        let first = self.nodes.first()?.leader();
-        if self.nodes.iter().all(|p| p.leader() == first) {
-            Some(first)
-        } else {
-            None
-        }
+        protocol::agreed_leader(self.nodes.iter())
     }
 
     /// Run until every node agrees on one leader (at most `max_rounds`).
@@ -1070,7 +1063,7 @@ impl<P: Protocol + LeaderView, T: DynamicTopology> Engine<P, T> {
 impl<P: Protocol + RumorView, T: DynamicTopology> Engine<P, T> {
     /// Number of informed nodes.
     pub fn informed_count(&self) -> usize {
-        self.nodes.iter().filter(|p| p.informed()).count()
+        protocol::informed_count(self.nodes.iter())
     }
 
     /// Run until every node knows the rumor (at most `max_rounds`).

@@ -72,7 +72,7 @@ use crate::audit::Auditor;
 use crate::executor::{ExecutorSet, RoundExecuter};
 use crate::metrics::Metrics;
 use crate::model::{Acceptance, ConnectionPolicy, ModelParams, Tag};
-use crate::protocol::{Action, LeaderView, Protocol, RumorView, Scan};
+use crate::protocol::{self, Action, LeaderView, Protocol, RumorView, Scan};
 
 /// Per-phase timing distributions, in integer ticks. Every duration is
 /// drawn uniformly from `[min, min + spread]` via a counter-based coin —
@@ -658,12 +658,7 @@ impl<P: Protocol> EventEngine<P> {
 impl<P: Protocol + LeaderView> EventEngine<P> {
     /// True iff every node reports the same leader.
     pub fn leaders_agree(&self) -> Option<u64> {
-        let first = self.execs.first()?.protocol().leader();
-        if self.protocols().all(|p| p.leader() == first) {
-            Some(first)
-        } else {
-            None
-        }
+        protocol::agreed_leader(self.protocols())
     }
 
     /// Run until every node agrees on one leader (at most `max_time`
@@ -678,7 +673,7 @@ impl<P: Protocol + LeaderView> EventEngine<P> {
 impl<P: Protocol + RumorView> EventEngine<P> {
     /// Number of informed nodes.
     pub fn informed_count(&self) -> usize {
-        self.protocols().filter(|p| p.informed()).count()
+        protocol::informed_count(self.protocols())
     }
 
     /// Run until every node knows the rumor (at most `max_time` ticks).

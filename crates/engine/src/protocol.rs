@@ -227,6 +227,22 @@ pub trait RumorView {
     fn informed(&self) -> bool;
 }
 
+/// The leader every node reports, or `None` if any two disagree. An empty
+/// node set has no leader to agree on, not a vacuous agreement. Shared by
+/// both backends' `leaders_agree`.
+pub(crate) fn agreed_leader<'a, P: LeaderView + 'a>(
+    mut nodes: impl Iterator<Item = &'a P>,
+) -> Option<u64> {
+    let first = nodes.next()?.leader();
+    nodes.all(|p| p.leader() == first).then_some(first)
+}
+
+/// Number of nodes that know the rumor. Shared by both backends'
+/// `informed_count`.
+pub(crate) fn informed_count<'a, P: RumorView + 'a>(nodes: impl Iterator<Item = &'a P>) -> usize {
+    nodes.filter(|p| p.informed()).count()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

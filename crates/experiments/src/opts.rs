@@ -1,4 +1,4 @@
-//! Options shared by every experiment binary.
+//! Options shared by every experiment run (`mtm experiment`, `regen`).
 
 /// Scale of an experiment run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -45,8 +45,8 @@ impl ExpOpts {
         }
     }
 
-    /// Parse from command-line arguments (everything after the binary
-    /// name). Recognized: `--quick`, `--trials N`, `--seed N`,
+    /// Parse from command-line arguments (everything after the experiment
+    /// id). Recognized: `--quick`, `--full`, `--trials N`, `--seed N`,
     /// `--threads N`, `--csv PATH`. Returns an error message for unknown
     /// flags.
     pub fn parse(args: &[String]) -> Result<ExpOpts, String> {
@@ -83,25 +83,10 @@ impl ExpOpts {
         Ok(opts)
     }
 
-    /// Parse from `std::env::args`, exiting with a usage message on error.
-    pub fn from_env() -> ExpOpts {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        match ExpOpts::parse(&args) {
-            Ok(o) => o,
-            Err(e) => {
-                eprintln!("error: {e}");
-                eprintln!(
-                    "usage: [--quick|--full] [--trials N] [--seed N] [--threads N] [--csv PATH]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-
     /// Print the table; write CSV if requested. The `(csv written to …)`
     /// line is only printed when the write actually succeeded; a failed
-    /// write is returned as an error so binaries can exit nonzero instead
-    /// of misreporting success.
+    /// write is returned as an error so the caller can exit nonzero
+    /// instead of misreporting success.
     pub fn emit(
         &self,
         id: &str,

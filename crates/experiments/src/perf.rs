@@ -3,8 +3,9 @@
 //! The simulation crates (`core`, `engine`, `apps`) are forbidden from
 //! touching wall clocks by the determinism lint; measurement lives here, in
 //! the experiment layer, where timing is the point (F9's scaling table and
-//! the `mtm-bench` throughput harness both report wall seconds and peak
-//! RSS per cell). None of this feeds back into simulation state.
+//! the `f9_smoke` giant cell report wall seconds and peak RSS per cell;
+//! `regen` times each table). None of this feeds back into simulation
+//! state.
 
 use std::time::Instant;
 

@@ -1,7 +1,7 @@
 //! Statistical shape checks: coarse, fixed-seed versions of the paper's
 //! quantitative claims, with generous margins so they are deterministic and
-//! debug-mode friendly. The full-resolution versions live in the
-//! `mtm-experiments` harness binaries.
+//! debug-mode friendly. The full-resolution versions are the
+//! `mtm-experiments` registry tables (`mtm experiment <id>`).
 
 use mtm_experiments::{exp_f3, exp_f5, exp_f6, exp_t5, ExpOpts};
 
