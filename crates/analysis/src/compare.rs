@@ -1,7 +1,8 @@
 //! Distribution comparison utilities: histograms, bootstrap confidence
-//! intervals, and a Mann–Whitney U test. Used by experiments that claim
-//! one algorithm *reliably* beats another (not just on the mean of a few
-//! trials).
+//! intervals, and a Mann–Whitney U test, for tests that claim one
+//! algorithm *reliably* beats another (not just on the mean of a few
+//! trials). No experiment table uses them; `tests/convergence_statistics.rs`
+//! and this crate's property tests do.
 
 /// An equal-width histogram over a sample.
 #[derive(Clone, Debug, PartialEq)]

@@ -9,7 +9,7 @@
 //! abstract transition relation the checker enumerates and the concrete one
 //! the simulator executes.
 
-use mtm_engine::{ActivationSchedule, Engine, Protocol};
+use mtm_engine::{fingerprint, ActivationSchedule, Engine};
 use mtm_graph::faults::ScheduledCrashes;
 use mtm_graph::{Graph, NodeId, StaticTopology};
 
@@ -80,7 +80,7 @@ pub fn replay_state<S: CheckSpec>(
             outcome.words
         ));
     }
-    let expected_fp = network_fingerprint_of(ex.nodes_of(target));
+    let expected_fp = fingerprint::of_nodes(ex.nodes_of(target));
     if outcome.fingerprint != expected_fp {
         return Err(format!(
             "replay fingerprint mismatch at state {target}: engine {:?}, checker {expected_fp:?}",
@@ -88,14 +88,4 @@ pub fn replay_state<S: CheckSpec>(
         ));
     }
     Ok(outcome)
-}
-
-/// The checker-side network fingerprint of a configuration, folded exactly
-/// as [`Engine::network_fingerprint`] folds per-node state fingerprints.
-pub fn network_fingerprint_of<P: Protocol>(nodes: &[P]) -> Option<u64> {
-    let mut acc = mtm_engine::fingerprint::SEED;
-    for p in nodes {
-        acc = mtm_engine::fingerprint::mix(acc, p.state_fingerprint()?);
-    }
-    Some(acc)
 }

@@ -11,7 +11,10 @@
 //!   lockstep-only options;
 //! * `mtm experiment` — the only ad hoc experiment front end: header line,
 //!   CSV output, and exit codes 0 success, 1 CSV write failure, 2 usage
-//!   error.
+//!   error;
+//! * `mtm check` — the only model-checker front end: exit 3 with an
+//!   engine-confirmed witness for the A1 β=1 deadlock, exit 0 for the
+//!   certification matrix.
 
 use std::process::{Command, Output};
 
@@ -134,4 +137,19 @@ fn experiment_exit_1_when_csv_write_fails() {
     assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("failed to write"), "stderr: {stderr}");
+}
+
+#[test]
+fn check_finds_the_beta1_deadlock_and_replays_it() {
+    let out =
+        mtm(&["check", "--protocol", "blind-gossip", "--beta", "1", "--topology", "clique:4"]);
+    assert_eq!(out.status.code(), Some(3), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout(&out).contains("engine replay confirms"));
+}
+
+#[test]
+fn check_certify_passes() {
+    let out = mtm(&["check", "--certify"]);
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+    assert!(stdout(&out).contains("certification matrix: PASS"));
 }

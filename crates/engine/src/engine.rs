@@ -42,9 +42,10 @@
 //! engine makes. The contract (engine semantics
 //! [`ENGINE_SEMANTICS_VERSION`]) is:
 //!
-//! - node `u` draws only from its own stream (`stream_rng(seed, u)`), in
-//!   phase order within each round — advertise, act, acceptance (receivers
-//!   draw from their *own* streams), `on_connect`, `end_round`;
+//! - node `u` draws only from its own stream (`stream_rng(seed, u)`, built
+//!   by `protocol::node_streams` for both backends), in phase order within
+//!   each round — advertise, act, acceptance (receivers draw from their
+//!   *own* streams), `on_connect`, `end_round`;
 //! - loss coins are *counter-based*: proposal survival is the pure
 //!   function `counter_coin(loss_seed, round, proposer) < loss_prob`,
 //!   independent of draw order (the v1 semantics drew from one global
@@ -61,14 +62,13 @@
 
 use mtm_graph::{DynamicTopology, NodeId};
 use rand::rngs::SmallRng;
-use rand::seq::SliceRandom;
 
 use crate::activation::ActivationSchedule;
 use crate::audit::Auditor;
-use crate::executor::{uniform_accept_index, ExecutorSet, RoundExecuter};
+use crate::fingerprint;
 use crate::metrics::{Metrics, RoundTrace};
-use crate::model::{Acceptance, ConnectionPolicy, ModelParams, Tag};
-use crate::protocol::{self, Action, LeaderView, Protocol, RumorView, Scan};
+use crate::model::{ConnectionPolicy, ModelParams, Tag};
+use crate::protocol::{self, uniform_accept_index, Action, LeaderView, Protocol, RumorView, Scan};
 
 /// Version tag for the engine's execution semantics — the part of the RNG
 /// contract that recorded results depend on (see the module docs). Bumped
@@ -342,9 +342,6 @@ pub struct Engine<P: Protocol, T: DynamicTopology> {
     arena: Vec<NodeId>,
     incoming_start: Vec<u32>,
     incoming_len: Vec<u32>,
-    // Scratch for selection-permutation acceptance (never aliases the
-    // scan-phase `visible` buffer).
-    accept_scratch: Vec<NodeId>,
     // Per-node fingerprint cache for the stuck detector (empty until the
     // first detector update; thereafter only active nodes are re-hashed).
     fp_cache: Vec<u64>,
@@ -355,11 +352,10 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
     /// Build an engine for `nodes` over `topology`.
     ///
     /// `seed` determines every random choice in the execution: node `u`
-    /// executes on RNG stream `u` (bound by [`ExecutorSet::spawn`], the
-    /// executor contract shared with the event backend), and the engine's
-    /// own acceptance choices use the same per-node streams, so an
-    /// execution is a pure function of its inputs. The executors are
-    /// unzipped into struct-of-arrays state for the hot path.
+    /// executes on `stream_rng(seed, u)` (the stream binding shared with
+    /// the event backend), and the engine's own acceptance choices use the
+    /// same per-node streams, so an execution is a pure function of its
+    /// inputs.
     pub fn new(
         topology: T,
         params: ModelParams,
@@ -370,17 +366,12 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
         let n = topology.node_count();
         assert_eq!(nodes.len(), n, "one protocol instance per topology node");
         assert_eq!(schedule.len(), n, "activation schedule must cover all nodes");
-        let (nodes, rngs): (Vec<P>, Vec<SmallRng>) = ExecutorSet::spawn(nodes, seed)
-            .into_executors()
-            .into_iter()
-            .map(RoundExecuter::into_parts)
-            .unzip();
         Engine {
             topology,
             params,
             schedule,
             nodes,
-            rngs,
+            rngs: protocol::node_streams(seed, n),
             round: 0,
             metrics: Metrics::default(),
             traces: None,
@@ -404,7 +395,6 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
             arena: Vec::new(),
             incoming_start: vec![0; n],
             incoming_len: vec![0; n],
-            accept_scratch: Vec::new(),
             fp_cache: Vec::new(),
             auditor: Auditor::default(),
         }
@@ -480,11 +470,7 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
     /// Fold of every node's [`Protocol::state_fingerprint`] in node order,
     /// or `None` if the protocol does not support fingerprinting.
     pub fn network_fingerprint(&self) -> Option<u64> {
-        let mut acc = crate::fingerprint::SEED;
-        for node in &self.nodes {
-            acc = crate::fingerprint::mix(acc, node.state_fingerprint()?);
-        }
-        Some(acc)
+        fingerprint::of_nodes(&self.nodes)
     }
 
     /// Inject message loss: each proposal is independently dropped with
@@ -549,17 +535,6 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
     /// Rounds that passed the full conformance audit so far.
     pub fn rounds_audited(&self) -> u64 {
         self.auditor.rounds_audited()
-    }
-
-    /// Run this engine's configuration twice and demand identical
-    /// [`Metrics`] and [`RoundTrace`](crate::metrics::RoundTrace) streams.
-    /// Convenience wrapper over [`crate::audit::determinism_self_check`];
-    /// `build` must construct a fresh engine from the same inputs each call.
-    pub fn determinism_self_check(
-        build: impl FnMut() -> Self,
-        rounds: u64,
-    ) -> Result<Metrics, String> {
-        crate::audit::determinism_self_check(build, rounds)
     }
 
     /// Execute one full round (all five phases), drawing every choice from
@@ -758,11 +733,9 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
             self.incoming_start[v as usize] = c + 1;
         }
 
-        // Phase 4a: decide which proposals are accepted (may need the
-        // round graph for the selection-permutation device), receivers in
+        // Phase 4a: decide which proposals are accepted, receivers in
         // ascending node id. Then Phase 4b: perform the payload exchanges.
         debug_assert!(self.accepted.is_empty());
-        let acceptance = self.params.acceptance;
         for vi in 0..n {
             let k = self.incoming_len[vi] as usize;
             if k == 0 {
@@ -776,37 +749,7 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
             match self.params.policy {
                 ConnectionPolicy::SingleUniform => {
                     let rng = &mut self.rngs[vi];
-                    let scratch = &mut self.accept_scratch;
-                    let active = &self.active;
-                    let draw = || match acceptance {
-                        Acceptance::UniformIndex => incoming[uniform_accept_index(rng, k)],
-                        Acceptance::SelectionPermutation => {
-                            // Definition VI.2's device: shuffle the
-                            // neighbor list, accept the proposer ranked
-                            // first. Distributionally identical to the
-                            // uniform-index choice. Inactive neighbors can
-                            // never propose, so only active ones enter the
-                            // shuffle (a subset's relative order within a
-                            // uniform permutation is itself uniform).
-                            scratch.clear();
-                            if all_active {
-                                scratch.extend_from_slice(graph.neighbors(v));
-                            } else {
-                                scratch.extend(
-                                    graph
-                                        .neighbors(v)
-                                        .iter()
-                                        .copied()
-                                        .filter(|&w| active[w as usize]),
-                                );
-                            }
-                            scratch.shuffle(rng);
-                            *scratch
-                                .iter()
-                                .find(|cand| incoming.contains(cand))
-                                .expect("every proposer is a neighbor")
-                        }
-                    };
+                    let draw = || incoming[uniform_accept_index(rng, k)];
                     match src.accept(v, incoming, draw) {
                         Some(u) => {
                             self.metrics.rejected_proposals += (k - 1) as u64;
@@ -941,10 +884,7 @@ impl<P: Protocol, T: DynamicTopology> Engine<P, T> {
                 }
             }
         }
-        let mut fp = crate::fingerprint::SEED;
-        for &f in &self.fp_cache {
-            fp = crate::fingerprint::mix(fp, f);
-        }
+        let fp = fingerprint::of_words(&self.fp_cache);
         let round = self.round;
         // Frozen state is only evidence of a fixed point while the world
         // holds still: pending activations or a topology change window can
@@ -1043,7 +983,7 @@ impl<P: Protocol + LeaderView, T: DynamicTopology> Engine<P, T> {
     /// True iff every node (active or not — inactive nodes hold their own
     /// UID, so agreement requires full activation) reports the same leader.
     pub fn leaders_agree(&self) -> Option<u64> {
-        protocol::agreed_leader(self.nodes.iter())
+        protocol::agreed_leader(&self.nodes)
     }
 
     /// Run until every node agrees on one leader (at most `max_rounds`).
@@ -1063,7 +1003,7 @@ impl<P: Protocol + LeaderView, T: DynamicTopology> Engine<P, T> {
 impl<P: Protocol + RumorView, T: DynamicTopology> Engine<P, T> {
     /// Number of informed nodes.
     pub fn informed_count(&self) -> usize {
-        protocol::informed_count(self.nodes.iter())
+        protocol::informed_count(&self.nodes)
     }
 
     /// Run until every node knows the rumor (at most `max_rounds`).
@@ -1426,8 +1366,9 @@ mod tests {
 
     #[test]
     fn determinism_self_check_passes_for_fixed_seed() {
-        let metrics = Engine::determinism_self_check(|| engine_on(gen::cycle(10), 10, 42), 150)
-            .expect("same (seed, config) must replay identically");
+        let metrics =
+            crate::audit::determinism_self_check(|| engine_on(gen::cycle(10), 10, 42), 150)
+                .expect("same (seed, config) must replay identically");
         assert_eq!(metrics.rounds, 150);
         assert!(metrics.connections > 0);
     }
@@ -1437,7 +1378,7 @@ mod tests {
         // A builder that varies the seed across calls is exactly the bug
         // the self-check exists to catch.
         let mut seed = 0u64;
-        let err = Engine::determinism_self_check(
+        let err = crate::audit::determinism_self_check(
             || {
                 seed += 1;
                 engine_on(gen::cycle(16), 16, seed)
@@ -1466,32 +1407,6 @@ mod tests {
             assert!(seen.insert((round, u)), "node {u} in two connections in round {round}");
             assert!(seen.insert((round, v)), "node {v} in two connections in round {round}");
         }
-    }
-
-    #[test]
-    fn permutation_acceptance_behaves_like_uniform() {
-        // Same protocol + topology under both acceptance realizations:
-        // both stabilize to the min UID (distributional equivalence is
-        // checked statistically in the integration suite).
-        let n = 12;
-        let uids: Vec<u64> = (0..n as u64).map(|u| u + 500).collect();
-        let build = |params| {
-            let nodes: Vec<MinSpread> = uids
-                .iter()
-                .map(|&u| MinSpread { uid: u, best: u, always_propose_first: false })
-                .collect();
-            Engine::new(
-                StaticTopology::new(gen::cycle(n)),
-                params,
-                ActivationSchedule::synchronized(n),
-                nodes,
-                13,
-            )
-        };
-        let mut a = build(ModelParams::mobile(0));
-        let mut b = build(ModelParams::mobile_with_permutation(0));
-        assert_eq!(a.run_to_stabilization(1_000_000).winner, Some(500));
-        assert_eq!(b.run_to_stabilization(1_000_000).winner, Some(500));
     }
 
     #[test]

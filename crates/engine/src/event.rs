@@ -6,11 +6,11 @@
 //! do nothing of the sort: scans take device-dependent time, link latencies
 //! vary per pair and per message, and each node runs its *own* round loop,
 //! drifting freely against its neighbors. This backend models exactly
-//! that, driving the same typed [`RoundExecuter`]s as the lockstep engine
-//! (see [`crate::executor`]) through an event queue:
+//! that, driving the same [`Protocol`] nodes on the same per-node RNG
+//! streams as the lockstep engine through an event queue:
 //!
-//! * **RoundStart(u)** — `u` begins local round `r`: it advertises
-//!   (executor draw) and posts the tag to the shared blackboard, then its
+//! * **RoundStart(u)** — `u` begins local round `r`: it advertises (from
+//!   its own stream) and posts the tag to the shared blackboard, then its
 //!   scan completes after `scan` ticks.
 //! * **Act(u)** — `u` scans the *current* tags of every neighbor that has
 //!   started (a drifted neighbor may be mid-round — that is the point) and
@@ -21,8 +21,8 @@
 //!   otherwise rejected immediately (reject response after the return
 //!   latency).
 //! * **ListenEnd(v)** — `v` resolves its buffer: one proposal accepted
-//!   uniformly (the [`RoundExecuter::accept_index`] draw from `v`'s own
-//!   stream — the same rule as the lockstep backend), the rest rejected;
+//!   uniformly (the same index draw from `v`'s own stream as on the
+//!   lockstep backend), the rest rejected;
 //!   responses carry `v`'s payload snapshot back to the accepted proposer.
 //!   `v` ends its round and immediately starts the next.
 //! * **Response(v → u)** — unblocks the proposer; an accepting response
@@ -45,9 +45,9 @@
 //!   scheduling sequence)` — ties at one instant resolve by node id, and
 //!   a node's same-instant events by the (deterministic) order they were
 //!   scheduled in.
-//! * **Node randomness** flows only through each node's own
-//!   [`RoundExecuter`] stream, exactly as in the lockstep backend; only
-//!   the interleaving differs.
+//! * **Node randomness** flows only through each node's own stream,
+//!   `stream_rng(seed, u)`, exactly as in the lockstep backend; only the
+//!   interleaving differs.
 //!
 //! Same seed ⇒ same event trace, byte for byte (pinned by tests here and
 //! by `tests/event_backend.rs`).
@@ -67,12 +67,12 @@ use std::collections::BinaryHeap;
 
 use mtm_graph::rng::{counter_coin, derive_seed};
 use mtm_graph::{Graph, NodeId};
+use rand::rngs::SmallRng;
 
 use crate::audit::Auditor;
-use crate::executor::{ExecutorSet, RoundExecuter};
 use crate::metrics::Metrics;
-use crate::model::{Acceptance, ConnectionPolicy, ModelParams, Tag};
-use crate::protocol::{self, Action, LeaderView, Protocol, RumorView, Scan};
+use crate::model::{ConnectionPolicy, ModelParams, Tag};
+use crate::protocol::{self, uniform_accept_index, Action, LeaderView, Protocol, RumorView, Scan};
 
 /// Per-phase timing distributions, in integer ticks. Every duration is
 /// drawn uniformly from `[min, min + spread]` via a counter-based coin —
@@ -270,7 +270,8 @@ pub struct EventEngine<P: Protocol> {
     graph: Graph,
     params: ModelParams,
     latency: LatencyModel,
-    execs: Vec<RoundExecuter<P>>,
+    nodes: Vec<P>,
+    rngs: Vec<SmallRng>,
     loss_prob: f64,
     // Dedicated counter-coin streams (derived far from the node range).
     start_seed: u64,
@@ -300,18 +301,17 @@ pub struct EventEngine<P: Protocol> {
 }
 
 impl<P: Protocol> EventEngine<P> {
-    /// Build an event backend for `protocols` over the static `graph`.
+    /// Build an event backend for `nodes` over the static `graph`.
     ///
     /// `seed` plays the same role as for the lockstep engine: node `u`
-    /// executes on `stream_rng(seed, u)` (via [`ExecutorSet::spawn`]), and
-    /// the latency/loss coin streams are derived from dedicated
-    /// sub-streams. Only [`ConnectionPolicy::SingleUniform`] with
-    /// [`Acceptance::UniformIndex`] is modeled — the mobile telephone
-    /// model's acceptance rule.
+    /// executes on `stream_rng(seed, u)`, and the latency/loss coin streams
+    /// are derived from dedicated sub-streams. Only
+    /// [`ConnectionPolicy::SingleUniform`] is modeled — the mobile
+    /// telephone model's acceptance rule.
     pub fn new(
         graph: Graph,
         params: ModelParams,
-        protocols: Vec<P>,
+        nodes: Vec<P>,
         seed: u64,
         latency: LatencyModel,
     ) -> Self {
@@ -321,14 +321,8 @@ impl<P: Protocol> EventEngine<P> {
             ConnectionPolicy::SingleUniform,
             "the event backend models the mobile model's single-accept rule"
         );
-        assert_eq!(
-            params.acceptance,
-            Acceptance::UniformIndex,
-            "the event backend resolves acceptance by uniform index draw"
-        );
         let n = graph.node_count();
-        assert_eq!(protocols.len(), n, "one protocol instance per graph node");
-        let set = ExecutorSet::spawn(protocols, seed);
+        assert_eq!(nodes.len(), n, "one protocol instance per graph node");
         // One dedicated stream per coin family, derived far outside the
         // per-node stream range (the lockstep engine reserves u64::MAX for
         // its loss stream; this backend derives from u64::MAX - 1).
@@ -337,7 +331,8 @@ impl<P: Protocol> EventEngine<P> {
             graph,
             params,
             latency,
-            execs: set.into_executors(),
+            nodes,
+            rngs: protocol::node_streams(seed, n),
             loss_prob: 0.0,
             start_seed: derive_seed(base, 0),
             scan_seed: derive_seed(base, 1),
@@ -410,17 +405,17 @@ impl<P: Protocol> EventEngine<P> {
 
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
-        self.execs.len()
+        self.nodes.len()
     }
 
     /// Immutable view of node `u`'s protocol state.
     pub fn node(&self, u: usize) -> &P {
-        self.execs[u].protocol()
+        &self.nodes[u]
     }
 
-    /// Iterate over all protocol states in node order.
-    pub fn protocols(&self) -> impl Iterator<Item = &P> {
-        self.execs.iter().map(RoundExecuter::protocol)
+    /// Immutable view of all protocol states.
+    pub fn nodes(&self) -> &[P] {
+        &self.nodes
     }
 
     /// Mean local round across nodes.
@@ -471,7 +466,7 @@ impl<P: Protocol> EventEngine<P> {
                 self.local_round[ui] += 1;
                 let lr = self.local_round[ui];
                 self.metrics.rounds = self.metrics.rounds.max(lr);
-                let tag = self.execs[ui].advertise(lr);
+                let tag = self.nodes[ui].advertise(lr, &mut self.rngs[ui]);
                 self.auditor.check_tag(lr, ui, tag, self.params.tag_bits);
                 self.tags[ui] = tag;
                 self.started[ui] = true;
@@ -504,7 +499,7 @@ impl<P: Protocol> EventEngine<P> {
                 }
                 let scan =
                     Scan { neighbors: &self.vis, tags: &self.vis_tags, round: lr, local_round: lr };
-                match self.execs[ui].act(&scan) {
+                match self.nodes[ui].act(&scan, &mut self.rngs[ui]) {
                     Action::Listen => {
                         self.phase[ui] = Phase::Listening;
                         self.buffers[ui].clear();
@@ -537,7 +532,7 @@ impl<P: Protocol> EventEngine<P> {
                                 Ev::Response { accepted: None },
                             );
                         } else {
-                            let pl = self.execs[ui].payload();
+                            let pl = self.nodes[ui].payload();
                             self.check_payload(node, &pl);
                             self.schedule(
                                 self.now + d,
@@ -566,7 +561,7 @@ impl<P: Protocol> EventEngine<P> {
                 let mut delivered = false;
                 let mut buf = std::mem::take(&mut self.buffers[ui]);
                 if !buf.is_empty() {
-                    let pick = self.execs[ui].accept_index(buf.len());
+                    let pick = uniform_accept_index(&mut self.rngs[ui], buf.len());
                     for (i, (from, pu)) in buf.drain(..).enumerate() {
                         let s = self.next_msg(node);
                         let d = self.link_delay(node, from, s);
@@ -574,9 +569,9 @@ impl<P: Protocol> EventEngine<P> {
                             // Payload snapshots before delivery, exactly as
                             // the lockstep connect() orders them. `pu` was
                             // audited when its proposal was sent.
-                            let pv = self.execs[ui].payload();
+                            let pv = self.nodes[ui].payload();
                             self.check_payload(node, &pv);
-                            self.execs[ui].deliver(&pu);
+                            self.nodes[ui].on_connect(&pu, &mut self.rngs[ui]);
                             self.metrics.connections += 1;
                             delivered = true;
                             self.schedule(self.now + d, from, Ev::Response { accepted: Some(pv) });
@@ -592,19 +587,19 @@ impl<P: Protocol> EventEngine<P> {
                 // not buffered into a window that no longer exists — a
                 // buffered-then-cleared proposal would strand its proposer.
                 self.phase[ui] = Phase::Scanning;
-                self.execs[ui].end_round(lr);
+                self.nodes[ui].end_round(lr, &mut self.rngs[ui]);
                 self.schedule(self.now, node, Ev::RoundStart);
                 delivered
             }
             Ev::Response { accepted } => {
                 debug_assert_eq!(self.phase[ui], Phase::Waiting, "unsolicited response at {ui}");
                 let delivered = if let Some(pv) = accepted {
-                    self.execs[ui].deliver(&pv);
+                    self.nodes[ui].on_connect(&pv, &mut self.rngs[ui]);
                     true
                 } else {
                     false
                 };
-                self.execs[ui].end_round(self.local_round[ui]);
+                self.nodes[ui].end_round(self.local_round[ui], &mut self.rngs[ui]);
                 self.schedule(self.now, node, Ev::RoundStart);
                 delivered
             }
@@ -658,7 +653,7 @@ impl<P: Protocol> EventEngine<P> {
 impl<P: Protocol + LeaderView> EventEngine<P> {
     /// True iff every node reports the same leader.
     pub fn leaders_agree(&self) -> Option<u64> {
-        protocol::agreed_leader(self.protocols())
+        protocol::agreed_leader(&self.nodes)
     }
 
     /// Run until every node agrees on one leader (at most `max_time`
@@ -673,7 +668,7 @@ impl<P: Protocol + LeaderView> EventEngine<P> {
 impl<P: Protocol + RumorView> EventEngine<P> {
     /// Number of informed nodes.
     pub fn informed_count(&self) -> usize {
-        protocol::informed_count(self.protocols())
+        protocol::informed_count(&self.nodes)
     }
 
     /// Run until every node knows the rumor (at most `max_time` ticks).
@@ -688,7 +683,6 @@ mod tests {
     use super::*;
     use crate::protocol::PayloadCost;
     use mtm_graph::gen;
-    use rand::rngs::SmallRng;
     use rand::Rng;
 
     /// Coin-flip min-UID spreader (blind-gossip-shaped), as in the engine

@@ -15,6 +15,8 @@
 
 use mtm_graph::rng::splitmix64;
 
+use crate::protocol::Protocol;
+
 /// Initial accumulator for a digest chain.
 pub const SEED: u64 = 0x9E37_79B9_7F4A_7C15;
 
@@ -29,6 +31,18 @@ pub fn mix(acc: u64, word: u64) -> u64 {
 /// implementations).
 pub fn of_words(words: &[u64]) -> u64 {
     words.iter().fold(SEED, |acc, &w| mix(acc, w))
+}
+
+/// The network fingerprint: every node's [`Protocol::state_fingerprint`]
+/// folded in node order, or `None` if the protocol does not support
+/// fingerprinting. [`crate::Engine::network_fingerprint`] and the model
+/// checker's replay comparison both fold through here.
+pub fn of_nodes<P: Protocol>(nodes: &[P]) -> Option<u64> {
+    let mut acc = SEED;
+    for node in nodes {
+        acc = mix(acc, node.state_fingerprint()?);
+    }
+    Some(acc)
 }
 
 #[cfg(test)]

@@ -35,7 +35,6 @@ pub mod activation;
 pub mod audit;
 pub mod engine;
 pub mod event;
-pub mod executor;
 pub mod fingerprint;
 pub mod metrics;
 pub mod model;
@@ -50,7 +49,6 @@ pub use engine::{
     ENGINE_SEMANTICS_VERSION,
 };
 pub use event::{EventEngine, EventKind, EventOutcome, EventRecord, LatencyModel};
-pub use executor::{uniform_accept_index, ExecutorSet, RoundExecuter};
 pub use metrics::{Metrics, RoundTrace, ServiceMetrics};
 pub use model::{ConnectionPolicy, ModelParams, Tag};
 pub use protocol::{Action, EpochView, LeaderView, PayloadCost, Protocol, RumorView, Scan};

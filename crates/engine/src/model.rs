@@ -29,26 +29,14 @@ impl Tag {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ConnectionPolicy {
     /// Mobile telephone model: accept exactly one incoming proposal,
-    /// chosen uniformly at random (Section III).
+    /// chosen uniformly at random (Section III). §VI phrases the same
+    /// choice as a random permutation of the listener's neighbors whose
+    /// highest-ranked proposer wins; that is a proof device with the same
+    /// distribution, so both backends draw one uniform index instead.
     SingleUniform,
     /// Classical telephone model: accept every incoming proposal. Used only
     /// as the baseline in the model-gap experiment (F6).
     AcceptAll,
-}
-
-/// How the uniform acceptance choice is realized under
-/// [`ConnectionPolicy::SingleUniform`]. Both are distributionally
-/// identical; the permutation form exists because §VI's analysis phrases
-/// acceptance that way ("u first generates a random permutation of its
-/// neighbors… selects the proposal highest ranked"), and implementing it
-/// lets tests verify the equivalence rather than assume it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Acceptance {
-    /// Pick a uniformly random index into the incoming-proposal list.
-    UniformIndex,
-    /// Shuffle the receiver's full neighbor list and accept the incoming
-    /// proposal whose sender ranks first (Definition VI.2's device).
-    SelectionPermutation,
 }
 
 /// Static parameters of a model instance.
@@ -65,8 +53,6 @@ pub struct ModelParams {
     pub max_payload_bits: u32,
     /// Proposal-acceptance policy.
     pub policy: ConnectionPolicy,
-    /// Realization of the uniform acceptance choice.
-    pub acceptance: Acceptance,
 }
 
 impl ModelParams {
@@ -78,7 +64,6 @@ impl ModelParams {
             max_payload_uids: 2,
             max_payload_bits: 256,
             policy: ConnectionPolicy::SingleUniform,
-            acceptance: Acceptance::UniformIndex,
         }
     }
 
@@ -89,13 +74,7 @@ impl ModelParams {
             max_payload_uids: 2,
             max_payload_bits: 256,
             policy: ConnectionPolicy::AcceptAll,
-            acceptance: Acceptance::UniformIndex,
         }
-    }
-
-    /// Mobile model using the §VI selection-permutation acceptance device.
-    pub fn mobile_with_permutation(tag_bits: u32) -> Self {
-        ModelParams { acceptance: Acceptance::SelectionPermutation, ..Self::mobile(tag_bits) }
     }
 }
 

@@ -9,7 +9,7 @@
 
 use mtm_graph::NodeId;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use crate::model::Tag;
 
@@ -227,25 +227,121 @@ pub trait RumorView {
     fn informed(&self) -> bool;
 }
 
+/// The per-node RNG streams of a trial: node `u` executes on
+/// `stream_rng(seed, u)`. Both backends build their node streams here and
+/// nowhere else, and every random choice a node makes — advertise, act,
+/// the acceptance draw when it listens, `on_connect`, `end_round` — comes
+/// from its own stream. Non-node randomness (loss coins, latency draws)
+/// uses dedicated sub-streams far outside the node range.
+pub(crate) fn node_streams(seed: u64, n: usize) -> Vec<SmallRng> {
+    (0..n as u64).map(|u| mtm_graph::rng::stream_rng(seed, u)).collect()
+}
+
+/// The uniform acceptance draw shared by both backends: a listener with
+/// `k ≥ 1` buffered proposals accepts index `gen_range(0..k)` from its own
+/// stream — except that `k = 1` consumes **no** randomness (part of the
+/// recorded RNG contract; the trace-equivalence reference implements the
+/// same rule).
+#[inline]
+pub(crate) fn uniform_accept_index(rng: &mut SmallRng, k: usize) -> usize {
+    debug_assert!(k >= 1, "acceptance draw over an empty proposal set");
+    if k == 1 {
+        0
+    } else {
+        rng.gen_range(0..k)
+    }
+}
+
 /// The leader every node reports, or `None` if any two disagree. An empty
 /// node set has no leader to agree on, not a vacuous agreement. Shared by
 /// both backends' `leaders_agree`.
-pub(crate) fn agreed_leader<'a, P: LeaderView + 'a>(
-    mut nodes: impl Iterator<Item = &'a P>,
-) -> Option<u64> {
-    let first = nodes.next()?.leader();
-    nodes.all(|p| p.leader() == first).then_some(first)
+pub(crate) fn agreed_leader<P: LeaderView>(nodes: &[P]) -> Option<u64> {
+    let (first, rest) = nodes.split_first()?;
+    let first = first.leader();
+    rest.iter().all(|p| p.leader() == first).then_some(first)
 }
 
 /// Number of nodes that know the rumor. Shared by both backends'
 /// `informed_count`.
-pub(crate) fn informed_count<'a, P: RumorView + 'a>(nodes: impl Iterator<Item = &'a P>) -> usize {
-    nodes.filter(|p| p.informed()).count()
+pub(crate) fn informed_count<P: RumorView>(nodes: &[P]) -> usize {
+    nodes.iter().filter(|p| p.informed()).count()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{ActivationSchedule, Engine, EventEngine, LatencyModel, ModelParams};
+    use mtm_graph::{gen, StaticTopology};
+
+    /// Records the first value it draws from its stream, at its first
+    /// advertise; otherwise listens silently.
+    struct FirstDraw(Option<u64>);
+
+    #[derive(Clone)]
+    struct NoPayload;
+    impl PayloadCost for NoPayload {
+        fn uid_count(&self) -> u32 {
+            0
+        }
+        fn extra_bits(&self) -> u32 {
+            0
+        }
+    }
+
+    impl Protocol for FirstDraw {
+        type Payload = NoPayload;
+        fn advertise(&mut self, _lr: u64, rng: &mut SmallRng) -> Tag {
+            self.0.get_or_insert_with(|| rng.gen());
+            Tag::EMPTY
+        }
+        fn act(&mut self, _scan: &Scan<'_>, _rng: &mut SmallRng) -> Action {
+            Action::Listen
+        }
+        fn payload(&self) -> NoPayload {
+            NoPayload
+        }
+        fn on_connect(&mut self, _peer: &NoPayload, _rng: &mut SmallRng) {}
+    }
+
+    #[test]
+    fn both_backends_bind_node_u_to_stream_u() {
+        let (n, seed) = (5, 42);
+        let probes = || (0..n).map(|_| FirstDraw(None)).collect::<Vec<_>>();
+        let mut lockstep = Engine::new(
+            StaticTopology::new(gen::cycle(n)),
+            ModelParams::mobile(0),
+            ActivationSchedule::synchronized(n),
+            probes(),
+            seed,
+        );
+        lockstep.step();
+        // Zero spread: every node starts, and so advertises, at tick 0.
+        let mut event = EventEngine::new(
+            gen::cycle(n),
+            ModelParams::mobile(0),
+            probes(),
+            seed,
+            LatencyModel::multipeer(0),
+        );
+        assert_eq!(event.run_until(0, |_| false), None);
+        for u in 0..n {
+            let expected = mtm_graph::rng::stream_rng(seed, u as u64).gen::<u64>();
+            assert_eq!(lockstep.node(u).0, Some(expected), "lockstep node {u}");
+            assert_eq!(event.node(u).0, Some(expected), "event node {u}");
+        }
+    }
+
+    #[test]
+    fn accept_index_draw_rule() {
+        // k = 1 consumes no randomness; k > 1 draws gen_range(0..k).
+        let mut a = SmallRng::seed_from_u64(5);
+        let mut b = SmallRng::seed_from_u64(5);
+        assert_eq!(uniform_accept_index(&mut a, 1), 0);
+        assert_eq!(a.gen::<u64>(), b.gen::<u64>(), "k = 1 must not advance the stream");
+        let mut c = SmallRng::seed_from_u64(9);
+        let mut d = SmallRng::seed_from_u64(9);
+        assert_eq!(uniform_accept_index(&mut c, 5), d.gen_range(0..5));
+    }
 
     #[test]
     fn scan_tag_of_handles_b0() {

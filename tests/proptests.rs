@@ -6,6 +6,7 @@
 //! replacement for proptest); each test reports the failing case seed on
 //! panic.
 
+use mobile_telephone::engine::audit::determinism_self_check;
 use mobile_telephone::prelude::*;
 use mtm_testkit::{run_cases, Rng, SmallRng};
 
@@ -265,7 +266,7 @@ fn same_seed_runs_produce_identical_round_traces() {
 }
 
 /// The engine's own determinism entry point agrees: replaying a fixed
-/// `(seed, config)` through [`Engine::determinism_self_check`] reports no
+/// `(seed, config)` through [`determinism_self_check`] reports no
 /// divergence for a real paper protocol.
 #[test]
 fn engine_determinism_self_check_entry_point() {
@@ -273,7 +274,7 @@ fn engine_determinism_self_check_entry_point() {
         let family = arb_family(rng);
         let n = rng.gen_range(4..12usize);
         let seed = rng.gen::<u64>();
-        let metrics = Engine::determinism_self_check(
+        let metrics = determinism_self_check(
             || {
                 let g = family.build(n, seed);
                 let nn = g.node_count();
